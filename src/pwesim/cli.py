@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .experiment import ExperimentConfig, SceneParams, build_scene, run_sweep
+from .experiment import (CellFitError, ExperimentConfig, SceneParams, build_scene,
+                         run_sweep)
 from .routing import WavefrontSpec, get_routes
 from .scene import SceneError, build_graph
 from .statfit import (DegenerateDataError, DeviationDataset, fit_gamma_mle,
@@ -140,7 +141,7 @@ def cmd_sweep(args):
     started = datetime.now(timezone.utc).isoformat()
     try:
         results = run_sweep(config, threads=args.threads if args.threads else 1)
-    except SceneError as exc:
+    except (SceneError, CellFitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCENE_FAULT
     out = Path(args.out)

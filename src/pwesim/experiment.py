@@ -7,17 +7,21 @@ the qualitative trends do not. All of them are overridable via SceneParams.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import AntennaArray, Aperture, WallPlane, tile_wall, unit
 from .routing import WavefrontSpec, get_routes
 from .scene import Scene, SceneError, build_graph
-from .statfit import (DeviationDataset, fit_gamma_mle, fit_rayleigh_mle,
-                      gamma_pdf, kld_empirical, rayleigh_pdf)
+from .statfit import (DegenerateDataError, DeviationDataset, fit_gamma_mle,
+                      fit_rayleigh_mle, gamma_pdf, kld_empirical, rayleigh_pdf)
 
 MAX_REJECTIONS = 10_000
+
+
+class CellFitError(Exception):
+    """A sweep cell's pooled deviations cannot be fitted (too few or degenerate)."""
 
 
 @dataclass(frozen=True)
@@ -51,6 +55,10 @@ class ExperimentConfig:
             raise ValueError("d_r_values must be positive")
         if any(m < 1 for m in self.m_sides):
             raise ValueError("m_sides must be >= 1")
+        for key in ("d_r_values", "m_sides"):
+            values = getattr(self, key)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{key} must not repeat a value")
         if self.n_bins < 2:
             raise ValueError("n_bins must be >= 2")
 
@@ -138,9 +146,13 @@ def build_scene(params, d_r, m_side):
     return Scene(walls=walls, openings=openings, ris_units=ris_units, tx=tx, rx=rx)
 
 
-def sample_wavefront(scene, rng):
+def sample_wavefront(scene, rng, hits=None):
     """Draw one desired unit DoA per antenna, uniform over the boresight
-    hemisphere, rejecting directions whose traced ray misses every wall."""
+    hemisphere, rejecting directions whose traced ray misses every wall.
+
+    When `hits` is a list, each accepted direction's traced wall point is
+    appended to it, ready for get_routes(..., hits=hits).
+    """
     from .geometry import ray_wall_point
 
     boresight = scene.rx.boresight
@@ -158,8 +170,11 @@ def sample_wavefront(scene, rng):
                 v = -v
             elif d == 0.0:
                 continue
-            if ray_wall_point(ant, v, scene.walls, scene.openings) is not None:
+            hit = ray_wall_point(ant, v, scene.walls, scene.openings)
+            if hit is not None:
                 doas.append(v)
+                if hits is not None:
+                    hits.append(hit)
                 break
             rejections += 1
             if rejections >= MAX_REJECTIONS:
@@ -181,16 +196,20 @@ def run_cell(config, d_r, m_side):
     n_failures = 0
     for trial, ss in enumerate(streams):
         rng = np.random.Generator(np.random.PCG64(ss))
-        spec = sample_wavefront(scene, rng)
-        routes = get_routes(scene, graph, spec, path_cache=path_cache)
+        hits = []
+        spec = sample_wavefront(scene, rng, hits)
+        routes = get_routes(scene, graph, spec, path_cache=path_cache, hits=hits)
         n_failures += len(routes.failures)
         for route in routes.routes:
             phis.append(route.phi_deg)
             records.append((trial, route.antenna_index, route.phi_deg,
                             route.last_ris_id, len(route.path)))
     dataset = DeviationDataset(samples=np.array(phis), d_r=d_r, m=m_side * m_side)
-    gamma = fit_gamma_mle(dataset)
-    rayleigh = fit_rayleigh_mle(dataset)
+    try:
+        gamma = fit_gamma_mle(dataset)
+        rayleigh = fit_rayleigh_mle(dataset)
+    except (ValueError, DegenerateDataError) as exc:
+        raise CellFitError(f"cell (d_r={d_r}, M={m_side}): {exc}") from exc
     report = FitReport(
         d_r=d_r, m_side=m_side, gamma=gamma, rayleigh=rayleigh,
         kld_gamma=kld_empirical(dataset, lambda x: gamma_pdf(x, gamma.k_hat, gamma.theta_hat),

@@ -1,5 +1,5 @@
 """Per-antenna wavefront routing: wall-point tracing, nearest-RIS selection
-with exclusivity, BFS route assembly and deviation angles.
+with exclusivity, minimum-hop route assembly and deviation angles.
 
 Desired DoAs point from the antenna toward the incoming wave's source, so the
 traced ray ant + d*doa runs outward along the reversed arrival direction. The
@@ -13,11 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import is_unit, ray_wall_point, unit
-from .scene import bfs_shortest_path
 
 NO_HIT = "no_hit"              # desired ray exits the wall model
 NO_CANDIDATE = "no_candidate"  # no remaining RIS has LoS to the antenna
-UNREACHABLE = "unreachable"    # BFS found no path from Tx to the chosen RIS
+UNREACHABLE = "unreachable"    # no path from Tx to the chosen RIS
 
 
 @dataclass(frozen=True)
@@ -55,21 +54,33 @@ def deviation_angle(desired, realized):
     return float(np.degrees(np.arccos(c)))
 
 
+def nearest_ris(point, centers, available):
+    """Row of the available RIS center nearest to `point`, or None.
+
+    `centers` are in ascending id order, so argmin's first-hit rule is the
+    smallest-id tie break.
+    """
+    diff = centers - point
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    j = int(np.argmin(np.where(available, d2, np.inf)))
+    return j if available[j] else None
+
+
 def select_last_ris(point, candidates, antenna_index, graph):
     """Candidate RIS with LoS to the antenna that is nearest to `point`.
 
     Ties break toward the smallest RIS id. Returns None when no candidate
     has a graph edge to the antenna.
     """
-    ant_v = graph.antenna_vertex(antenna_index)
-    row = graph.row(ant_v)
-    visible = [r for r in candidates if row[graph.ris_vertex(r.id)]]
-    if not visible:
-        return None
-    return min(visible, key=lambda r: (float(np.linalg.norm(r.center - point)), r.id))
+    by_id = {r.id: r for r in candidates}
+    available = np.zeros(graph.n_ris, dtype=bool)
+    available[[graph.ris_vertex(rid) - 1 for rid in by_id]] = True
+    available &= graph.row(graph.antenna_vertex(antenna_index))[1:1 + graph.n_ris]
+    j = nearest_ris(point, graph.ris_centers, available)
+    return None if j is None else by_id[graph.vertices[1 + j].ref]
 
 
-def get_routes(scene, graph, spec, path_cache=None):
+def get_routes(scene, graph, spec, path_cache=None, hits=None):
     """Run the wavefront routing algorithm for every antenna in index order.
 
     Each antenna traces its desired ray to a wall point, claims the nearest
@@ -78,48 +89,44 @@ def get_routes(scene, graph, spec, path_cache=None):
     Per-antenna failures are recorded, never fatal.
 
     path_cache maps a lastRIS vertex to its path tuple; pass a dict shared
-    across trials of one scene to avoid repeated BFS.
+    across trials of one scene to avoid repeated path searches. hits, when
+    given, holds ray_wall_point(antenna, doa) per antenna, already traced
+    (as sample_wavefront does), so the rays are not traced again.
     """
     if len(spec.doas) != scene.rx.m:
         raise ValueError("spec length must match antenna count")
-    units = sorted(scene.ris_units, key=lambda r: r.id)
-    centers = np.array([r.center for r in units])
-    used = np.zeros(len(units), dtype=bool)
-    banned = set(graph.antenna_vertices)
+    if hits is not None and len(hits) != len(spec.doas):
+        raise ValueError("hits length must match antenna count")
+    n_ris = graph.n_ris
+    centers = graph.ris_centers
+    free = np.ones(n_ris, dtype=bool)
     routes = []
     failures = []
     for i, ant in enumerate(scene.rx.antennas):
         doa = spec.doas[i]
-        hit = ray_wall_point(ant, doa, scene.walls, scene.openings)
+        hit = (hits[i] if hits is not None
+               else ray_wall_point(ant, doa, scene.walls, scene.openings))
         if hit is None:
             failures.append((i, NO_HIT))
             continue
         point, _wall_id = hit
-        # vectorized arg-min over the visible, still-unclaimed RIS; argmin's
-        # first-hit rule is the smallest-id tie break since ids ascend
-        visible = graph.row(graph.antenna_vertex(i))[1:1 + len(units)]
-        d2 = np.einsum("ij,ij->i", centers - point, centers - point)
-        d2 = np.where(visible & ~used, d2, np.inf)
-        j = int(np.argmin(d2))
-        if not np.isfinite(d2[j]):
+        j = nearest_ris(point, centers,
+                        free & graph.row(graph.antenna_vertex(i))[1:1 + n_ris])
+        if j is None:
             failures.append((i, NO_CANDIDATE))
             continue
-        chosen = units[j]
-        used[j] = True
-        last_v = graph.ris_vertex(chosen.id)
+        free[j] = False
+        last_v = 1 + j
         path = None if path_cache is None else path_cache.get(last_v)
         if path is None:
-            found = bfs_shortest_path(graph, last_v, graph.tx_vertex, banned)
-            if found is not None:
-                found.reverse()        # store Tx first
-                path = tuple(found)
-                if path_cache is not None:
-                    path_cache[last_v] = path
+            path = graph.min_hop_path(last_v)
+            if path is not None and path_cache is not None:
+                path_cache[last_v] = path
         if path is None:
             failures.append((i, UNREACHABLE))
             continue
-        realized = unit(chosen.center - ant)
-        routes.append(Route(antenna_index=i, last_ris_id=chosen.id, path=path,
-                            realized_doa=realized,
+        realized = unit(centers[j] - ant)
+        routes.append(Route(antenna_index=i, last_ris_id=graph.vertices[last_v].ref,
+                            path=path, realized_doa=realized,
                             phi_deg=deviation_angle(doa, realized)))
     return RouteSet(routes=tuple(routes), failures=tuple(failures))

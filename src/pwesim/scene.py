@@ -1,18 +1,29 @@
-"""Scene container and the LoS visibility graph with BFS shortest paths.
+"""Scene container and the LoS visibility graph with minimum-hop paths.
 
 Vertices are ordered deterministically: transmitter first, then RIS units by
 ascending id, then receiver antennas by index. An edge exists iff the open
 segment between the two vertex positions crosses no wall outside a declared
 opening. Adjacency rows are computed lazily (vectorized over all endpoints)
 and cached, so large scenes stay tractable.
+
+The Tx -> lastRIS path rule is `PweGraph.min_hop_path`: the direct edge when
+Tx sees lastRIS, else [Tx, u, lastRIS] with u the smallest RIS vertex visible
+from both, else `bfs_shortest_path` (also the test oracle) from lastRIS. It
+returns exactly what that BFS returns, reversed.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import AntennaArray, segments_clear_batch
+
+
+# Tx-visible RIS tested per segments_clear_batch call when looking for the
+# middle hop of a two-hop path; the search stops at the first chunk with a
+# clear segment instead of testing every Tx-visible RIS
+PATH_CHUNK = 64
 
 
 class SceneError(Exception):
@@ -84,6 +95,11 @@ class PweGraph:
     def antenna_vertices(self):
         return range(1 + self.n_ris, self.vertex_count)
 
+    @property
+    def ris_centers(self):
+        """RIS centers in vertex order (ascending id); row j is vertex 1 + j."""
+        return self.positions[1:1 + self.n_ris]
+
     # -- adjacency ----------------------------------------------------------
 
     def row(self, v):
@@ -110,18 +126,28 @@ class PweGraph:
                                          self.positions[v][None, :],
                                          self.scene.walls, self.scene.openings)[0])
 
-    def adjacent_mask(self, v, mask):
-        """Adjacency of v restricted to vertices flagged in `mask`."""
-        cached = self._rows.get(v)
-        if cached is not None:
-            return cached & mask
-        out = np.zeros(self.vertex_count, dtype=bool)
-        idx = np.flatnonzero(mask)
-        idx = idx[idx != v]
-        if idx.size:
-            out[idx] = segments_clear_batch(self.positions[v], self.positions[idx],
-                                            self.scene.walls, self.scene.openings)
-        return out
+    def min_hop_path(self, last):
+        """Minimum-hop Tx -> `last` path as a vertex tuple, Tx first, or None.
+
+        Only RIS vertices serve as hops. Ties resolve as in
+        `bfs_shortest_path(self, last, tx, antenna_vertices)`: the direct
+        edge if Tx sees `last`; else the smallest RIS vertex u seen by both,
+        found by testing Tx's visible RIS against `last` in ascending chunks;
+        else that BFS itself.
+        """
+        tx = self.tx_vertex
+        tx_row = self.row(tx)
+        if tx_row[last]:
+            return (tx, last)
+        seen_by_tx = np.flatnonzero(tx_row[1:1 + self.n_ris]) + 1
+        for lo in range(0, len(seen_by_tx), PATH_CHUNK):
+            chunk = seen_by_tx[lo:lo + PATH_CHUNK]
+            clear = segments_clear_batch(self.positions[last], self.positions[chunk],
+                                         self.scene.walls, self.scene.openings)
+            if clear.any():
+                return (tx, int(chunk[np.argmax(clear)]), last)
+        found = bfs_shortest_path(self, last, tx, self.antenna_vertices)
+        return None if found is None else tuple(reversed(found))
 
     def neighbors(self, v):
         """Neighbor indices of v in ascending order."""

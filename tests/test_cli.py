@@ -18,6 +18,12 @@ n_trials = 4
 seed = 11
 """
 
+GOLDEN_SMALL_SWEEP = {
+    "deviations.csv": "827d73bba75a3d5add2643457b874f00172ff710583fdd6dd357cd6fbaeb3c47",
+    "fits.csv": "9e0072d83c08c690a70636a51d632037f4c6d594316957a2b9b5a803b6cb4f33",
+    "histograms.csv": "08a1237fdebf7e9308538792d6efa4a4a60e02d31452cd3a4176c275a1a8c58f",
+}
+
 
 def write_config(tmp_path, text=SMALL_CONFIG, name="cfg.txt"):
     path = tmp_path / name
@@ -92,6 +98,34 @@ class TestSweepCommand:
                                      "n_trials = 2\n")
         assert main(["sweep", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2
+
+    def test_repeated_sweep_value_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "d_r_values = [0.5, 0.5]\nn_trials = 2\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "d_r_values" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_unfittable_cell_exit_2(self, tmp_path, capsys):
+        # one antenna, one trial: one deviation sample, too few for a fit
+        cfg = write_config(tmp_path, "d_r_values = [0.5]\nm_sides = [1]\n"
+                                     "n_trials = 1\n")
+        assert main(["sweep", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "d_r=0.5, M=1" in err and "Traceback" not in err
+
+    def test_golden_digests(self, tmp_path):
+        # pinned output bytes of a small fixed sweep; a change here is a
+        # behaviour change of the simulator, not a refactor
+        cfg = write_config(tmp_path, "d_r_values = [0.5]\nm_sides = [2, 4]\n"
+                                     "n_trials = 5\nseed = 0\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["files"] == GOLDEN_SMALL_SWEEP
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)

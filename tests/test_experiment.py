@@ -3,6 +3,7 @@ import pytest
 
 from pwesim.experiment import (ExperimentConfig, SceneParams, build_scene,
                                run_cell, run_sweep, sample_wavefront)
+from pwesim.routing import get_routes
 from pwesim.scene import SceneError, build_graph
 
 
@@ -84,6 +85,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="n_bins"):
             tiny_config(n_bins=1)
 
+    def test_repeated_sweep_values(self):
+        with pytest.raises(ValueError, match="d_r_values"):
+            tiny_config(d_r_values=(0.5, 0.5))
+        with pytest.raises(ValueError, match="m_sides"):
+            tiny_config(m_sides=(2, 3, 2))
+
 
 class TestSampleWavefront:
     def test_boresight_hemisphere(self):
@@ -101,6 +108,23 @@ class TestSampleWavefront:
         a = sample_wavefront(scene, np.random.default_rng(5))
         b = sample_wavefront(scene, np.random.default_rng(5))
         np.testing.assert_array_equal(np.array(a.doas), np.array(b.doas))
+
+    def test_hits_reused_by_routing(self):
+        # the sampler's traced wall points route exactly like a fresh trace
+        scene = build_scene(SceneParams(), d_r=0.5, m_side=3)
+        graph = build_graph(scene)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            hits = []
+            spec = sample_wavefront(scene, rng, hits)
+            assert len(hits) == len(spec.doas)
+            reused = get_routes(scene, graph, spec, hits=hits)
+            traced = get_routes(scene, graph, spec)
+            assert reused.failures == traced.failures
+            assert [(r.antenna_index, r.last_ris_id, r.path, r.phi_deg)
+                    for r in reused.routes] == \
+                   [(r.antenna_index, r.last_ris_id, r.path, r.phi_deg)
+                    for r in traced.routes]
 
     def test_cosine_of_polar_angle_uniformity(self):
         # uniform on the hemisphere: cos(angle to boresight) ~ U(0, 1),

@@ -7,7 +7,7 @@ from pwesim.geometry import (AntennaArray, Aperture, WallPlane, segment_clear,
                              tile_wall, unit)
 from pwesim.routing import (NO_CANDIDATE, NO_HIT, WavefrontSpec,
                             deviation_angle, get_routes, select_last_ris)
-from pwesim.scene import Scene, build_graph
+from pwesim.scene import Scene, bfs_shortest_path, build_graph
 
 from conftest import box_walls, ris_on_wall, single_antenna_array
 
@@ -33,6 +33,28 @@ def tiled_box_scene(m_side=2, d_r=0.5):
     rx = grid_array((2.5, 1.0, 1.2), m_side)
     return Scene(walls=walls, openings=[], ris_units=ris,
                  tx=(1.0, 3.0, 1.5), rx=rx)
+
+
+def three_room_scene(m_side=2, d_r=0.5):
+    """Three rooms in a row, doorways at opposite ends of the two dividers.
+
+    RIS tile the two end walls and both dividers; with the transmitter in
+    room 1 and the array in room 3, some paths need three hops.
+    """
+    walls = box_walls((9, 3, 2.5))
+    for wid, x in ((6, 3.0), (7, 6.0)):
+        walls.append(WallPlane(id=wid, p0=(x, 1.5, 1.25), n=(1.0, 0, 0),
+                               u_axis=(0, 1.0, 0), v_axis=(0, 0, 1.0),
+                               u_extent=1.5, v_extent=1.25))
+    openings = [Aperture(wall_id=6, u_center=-0.9, v_center=-0.25,
+                         u_half=0.3, v_half=1.0),
+                Aperture(wall_id=7, u_center=0.9, v_center=-0.25,
+                         u_half=0.3, v_half=1.0)]
+    ris = []
+    for w in (walls[4], walls[6], walls[7], walls[5]):
+        ris.extend(tile_wall(w, d_r, openings=openings, id_start=len(ris)))
+    return Scene(walls=walls, openings=openings, ris_units=ris,
+                 tx=(0.5, 2.5, 1.25), rx=grid_array((7.5, 1.5, 1.2), m_side))
 
 
 class TestDeviationAngle:
@@ -85,6 +107,12 @@ class TestGetRoutes:
         graph = build_graph(scene)
         with pytest.raises(ValueError):
             get_routes(scene, graph, WavefrontSpec(doas=((0, 0, 1.0),)))
+
+    def test_hits_length_mismatch(self):
+        scene = tiled_box_scene(m_side=2)
+        spec = WavefrontSpec(doas=((0, 0, 1.0),) * scene.rx.m)
+        with pytest.raises(ValueError, match="hits length"):
+            get_routes(scene, build_graph(scene), spec, hits=[None])
 
     def test_no_hit_failure(self):
         # a lone wall with a hole: the ray through the hole hits nothing
@@ -273,6 +301,36 @@ class TestAgainstReference:
                 assert r.last_ris_id == rid
                 assert r.path == path
                 assert r.phi_deg == pytest.approx(phi, abs=1e-9)
+
+    def test_three_rooms_deep_paths(self):
+        scene = three_room_scene()
+        graph = build_graph(scene)
+        cache = {}
+        lengths = set()
+        for seed in range(8):
+            rng = np.random.default_rng(2000 + seed)
+            spec = WavefrontSpec(doas=tuple(
+                unit(rng.normal(size=3)) for _ in range(scene.rx.m)))
+            got = get_routes(scene, graph, spec, path_cache=cache)
+            expected = reference_get_routes(scene, spec)
+            assert not got.failures
+            for r in got.routes:
+                rid, path, phi = expected[r.antenna_index]
+                assert (r.last_ris_id, r.path) == (rid, path)
+                assert r.phi_deg == pytest.approx(phi, abs=1e-9)
+                lengths.add(len(r.path))
+        assert max(lengths) >= 4     # three hops: the BFS fallback ran
+
+    def test_three_rooms_min_hop_path_matches_bfs(self):
+        graph = build_graph(three_room_scene())
+        banned = set(graph.antenna_vertices)
+        lengths = set()
+        for last in range(1, 1 + graph.n_ris):
+            oracle = bfs_shortest_path(graph, last, graph.tx_vertex, banned)
+            path = graph.min_hop_path(last)
+            assert path == tuple(reversed(oracle))
+            lengths.add(len(path))
+        assert lengths == {2, 3, 4}
 
 
 class TestRotationInvariance:

@@ -1,8 +1,10 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pwesim.experiment import SceneParams, build_scene
 from pwesim.geometry import Aperture, WallPlane, segment_clear
 from pwesim.scene import (PweGraph, Scene, SceneError, SimpleGraph,
                           bfs_shortest_path, build_graph)
@@ -181,3 +183,22 @@ class TestBfs:
         assert path is not None and path[0] == last and path[-1] == 0
         for u, v in zip(path, path[1:]):
             assert g.has_edge(u, v)
+
+
+class TestMinHopPath:
+    @pytest.mark.parametrize("d_r, m_side", [(0.5, 4), (0.2, 8)])
+    def test_matches_bfs_oracle_on_default_scene(self, d_r, m_side):
+        g = build_graph(build_scene(SceneParams(), d_r, m_side))
+        banned = set(g.antenna_vertices)
+        for last in range(1, 1 + g.n_ris):
+            oracle = bfs_shortest_path(g, last, g.tx_vertex, banned)
+            assert g.min_hop_path(last) == tuple(reversed(oracle))
+
+    def test_unreachable_is_none(self):
+        # no doorway and no divider unit: the room-2 unit is cut off
+        scene = two_room_scene(with_door=False)
+        g = build_graph(replace(scene, ris_units=[r for r in scene.ris_units
+                                                  if r.id != 2]))
+        last = g.ris_vertex(3)
+        assert bfs_shortest_path(g, last, g.tx_vertex, set(g.antenna_vertices)) is None
+        assert g.min_hop_path(last) is None
