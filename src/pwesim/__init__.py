@@ -2,8 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .geometry import (AntennaArray, Aperture, RisMode, RisUnit, WallPlane,
-                       ray_wall_point, ray_wall_scale, segment_clear, tile_wall)
+from .geometry import (AntennaArray, Aperture, RisUnit, WallPlane, ray_wall_point,
+                       ray_wall_scale, segment_clear, tile_wall)
 from .scene import (PweGraph, Scene, SceneError, SimpleGraph, bfs_shortest_path,
                     build_graph)
 from .routing import (Route, RouteSet, WavefrontSpec, deviation_angle,

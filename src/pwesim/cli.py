@@ -9,7 +9,9 @@ byte-identical.
 import argparse
 import hashlib
 import json
+import math
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -18,6 +20,7 @@ import numpy as np
 from . import __version__
 from .experiment import (CellFitError, ExperimentConfig, SceneParams, build_scene,
                          run_sweep)
+from .geometry import is_unit
 from .routing import WavefrontSpec, get_routes
 from .scene import SceneError, build_graph
 from .statfit import (DegenerateDataError, DeviationDataset, fit_gamma_mle,
@@ -41,8 +44,11 @@ _SCALAR_KEYS = {
     "rx_spacing": float,
     "ris_margin": float,
 }
-_LIST_KEYS = {"d_r_values", "m_sides", "tx_position", "rx_position"}
-_ALL_KEYS = set(_SCALAR_KEYS) | _LIST_KEYS
+# list keys map to the type of their elements
+_LIST_KEYS = {"d_r_values": float, "m_sides": int, "tx_position": float,
+              "rx_position": float}
+_ALL_KEYS = set(_SCALAR_KEYS) | set(_LIST_KEYS)
+_SCENE_KEYS = {f.name for f in fields(SceneParams)}
 
 
 class ConfigError(Exception):
@@ -72,35 +78,34 @@ def parse_config_text(text):
     return raw
 
 
+def _number(key, x, kind):
+    """x as a finite `kind` (int or float); booleans and fractions are rejected."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ConfigError(f"key '{key}': expected a number, got {json.dumps(x)}")
+    if not math.isfinite(x):
+        raise ConfigError(f"key '{key}': expected a finite number, got {x}")
+    if kind is int and x != int(x):
+        raise ConfigError(f"key '{key}': expected an integer, got {x}")
+    return kind(x)
+
+
 def config_from_raw(raw, seed_override=None):
+    values = {}
     for key, value in raw.items():
-        if key in _SCALAR_KEYS and not isinstance(value, (int, float)):
-            raise ConfigError(f"key '{key}': expected a number")
-        if key in _LIST_KEYS and not (isinstance(value, list)
-                                      and all(isinstance(x, (int, float)) for x in value)):
-            raise ConfigError(f"key '{key}': expected a list of numbers")
+        if key in _LIST_KEYS:
+            if not isinstance(value, list):
+                raise ConfigError(f"key '{key}': expected a list of numbers")
+            values[key] = tuple(_number(key, x, _LIST_KEYS[key]) for x in value)
+        else:
+            values[key] = _number(key, value, _SCALAR_KEYS[key])
         if key in ("tx_position", "rx_position") and len(value) != 3:
             raise ConfigError(f"key '{key}': expected [x, y, z]")
-    scene_kwargs = {}
-    for key in ("room_length", "room_width", "room_height", "door_width",
-                "door_height", "rx_spacing", "ris_margin"):
-        if key in raw:
-            scene_kwargs[key] = float(raw[key])
-    for key in ("tx_position", "rx_position"):
-        if key in raw:
-            scene_kwargs[key] = tuple(float(x) for x in raw[key])
-    kwargs = {"scene": SceneParams(**scene_kwargs)}
-    if "d_r_values" in raw:
-        kwargs["d_r_values"] = tuple(float(x) for x in raw["d_r_values"])
-    if "m_sides" in raw:
-        kwargs["m_sides"] = tuple(int(x) for x in raw["m_sides"])
-    for key in ("n_trials", "seed", "n_bins"):
-        if key in raw:
-            kwargs[key] = int(raw[key])
     if seed_override is not None:
-        kwargs["seed"] = int(seed_override)
+        values["seed"] = seed_override
     try:
-        return ExperimentConfig(**kwargs)
+        scene = SceneParams(**{k: v for k, v in values.items() if k in _SCENE_KEYS})
+        return ExperimentConfig(scene=scene, **{k: v for k, v in values.items()
+                                                if k not in _SCENE_KEYS})
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -134,13 +139,15 @@ def _sha256(path):
 
 def cmd_sweep(args):
     try:
+        if args.threads < 0:
+            raise ConfigError(f"--threads must be >= 0, got {args.threads}")
         config = load_config(args.config, args.seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     started = datetime.now(timezone.utc).isoformat()
     try:
-        results = run_sweep(config, threads=args.threads if args.threads else 1)
+        results = run_sweep(config, threads=args.threads)
     except (SceneError, CellFitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCENE_FAULT
@@ -203,7 +210,7 @@ def cmd_route(args):
         spec_raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_BAD_CONFIG
     d_r = config.d_r_values[0]
     m_side = config.m_sides[0]
     try:
@@ -212,13 +219,19 @@ def cmd_route(args):
     except SceneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCENE_FAULT
-    if not isinstance(spec_raw, list) or len(spec_raw) != scene.rx.m:
-        print(f"error: spec must list {scene.rx.m} DoA vectors", file=sys.stderr)
-        return 1
-    doas = [np.asarray(v, dtype=float) for v in spec_raw]
-    if any(abs(np.linalg.norm(v) - 1.0) > 1e-6 for v in doas):
+    try:
+        doas = [np.asarray(v, dtype=float) for v in spec_raw]
+    except (TypeError, ValueError):
+        doas = []
+    if (not isinstance(spec_raw, list) or len(doas) != scene.rx.m
+            or any(v.shape != (3,) for v in doas)):
+        print(f"error: spec must list {scene.rx.m} DoA vectors [x, y, z]",
+              file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    # is_unit is False for NaN components, which a "> tol" test lets through
+    if not all(is_unit(v, tol=1e-6) for v in doas):
         print("error: spec contains non-unit DoA vectors", file=sys.stderr)
-        return 2
+        return EXIT_SCENE_FAULT
     routes = get_routes(scene, graph, WavefrontSpec(doas=tuple(doas)))
     payload = {
         "d_r": d_r,
@@ -253,21 +266,22 @@ def cmd_fit(args):
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or "phi_deg" not in reader.fieldnames:
                 print("error: data file needs a phi_deg column", file=sys.stderr)
-                return 1
-            values = [float(row["phi_deg"]) for row in reader]
-    except (OSError, ValueError) as exc:
+                return EXIT_BAD_CONFIG
+            samples = np.array([float(row["phi_deg"]) for row in reader])
+    except (OSError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if not values or any(v < 0 for v in values):
-        print("error: phi_deg data must be nonempty and non-negative", file=sys.stderr)
-        return 1
-    data = DeviationDataset(samples=np.array(values), d_r=float("nan"), m=0)
+        return EXIT_BAD_CONFIG
+    if not samples.size or not np.all(np.isfinite(samples) & (samples >= 0)):
+        print("error: phi_deg values must be nonempty, finite and non-negative",
+              file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    data = DeviationDataset(samples=samples, d_r=float("nan"), m=0)
     try:
         gamma = fit_gamma_mle(data)
         rayleigh = fit_rayleigh_mle(data)
     except (ValueError, DegenerateDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_BAD_CONFIG
     payload = {
         "n": data.n,
         "gamma": {"k_hat": gamma.k_hat, "theta_hat": gamma.theta_hat,
@@ -301,7 +315,8 @@ def build_parser():
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--threads", type=int, default=0,
-                   help="worker threads (0 = single-threaded)")
+                   help="worker processes, capped at the usable cores and at "
+                        "the number of cells (0 or 1 = run in this process)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("route", help="route one wavefront spec")

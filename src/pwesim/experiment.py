@@ -6,7 +6,7 @@ The room dimensions, doorway size and array placement are simulator defaults
 the qualitative trends do not. All of them are overridable via SceneParams.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +38,11 @@ class SceneParams:
     rx_spacing: float = 0.05
     ris_margin: float = 0.0
 
+    def __post_init__(self):
+        for key in ("room_length", "room_width", "room_height"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be positive")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -51,6 +56,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if any(d <= 0 for d in self.d_r_values):
             raise ValueError("d_r_values must be positive")
         if any(m < 1 for m in self.m_sides):
@@ -184,26 +191,32 @@ def sample_wavefront(scene, rng, hits=None):
 
 
 def run_cell(config, d_r, m_side):
-    """Run all trials of one (d_r, M) cell and fit both deviation models."""
+    """Run all trials of one (d_r, M) cell and fit both deviation models.
+
+    A SceneError or CellFitError it raises names the cell.
+    """
     d_idx = config.d_r_values.index(d_r)
     m_idx = config.m_sides.index(m_side)
-    scene = build_scene(config.scene, d_r, m_side)
-    graph = build_graph(scene)
     streams = np.random.SeedSequence([config.seed, m_idx, d_idx]).spawn(config.n_trials)
     path_cache = {}
     phis = []
     records = []
     n_failures = 0
-    for trial, ss in enumerate(streams):
-        rng = np.random.Generator(np.random.PCG64(ss))
-        hits = []
-        spec = sample_wavefront(scene, rng, hits)
-        routes = get_routes(scene, graph, spec, path_cache=path_cache, hits=hits)
-        n_failures += len(routes.failures)
-        for route in routes.routes:
-            phis.append(route.phi_deg)
-            records.append((trial, route.antenna_index, route.phi_deg,
-                            route.last_ris_id, len(route.path)))
+    try:
+        scene = build_scene(config.scene, d_r, m_side)
+        graph = build_graph(scene)
+        for trial, ss in enumerate(streams):
+            rng = np.random.Generator(np.random.PCG64(ss))
+            hits = []
+            spec = sample_wavefront(scene, rng, hits)
+            routes = get_routes(scene, graph, spec, path_cache=path_cache, hits=hits)
+            n_failures += len(routes.failures)
+            for route in routes.routes:
+                phis.append(route.phi_deg)
+                records.append((trial, route.antenna_index, route.phi_deg,
+                                route.last_ris_id, len(route.path)))
+    except SceneError as exc:
+        raise SceneError(f"cell (d_r={d_r}, M={m_side}): {exc}") from exc
     dataset = DeviationDataset(samples=np.array(phis), d_r=d_r, m=m_side * m_side)
     try:
         gamma = fit_gamma_mle(dataset)
@@ -220,16 +233,39 @@ def run_cell(config, d_r, m_side):
     return CellResult(dataset=dataset, report=report, records=tuple(records))
 
 
+def _cell_weight(cell):
+    """Relative run time of an (M, d_r) cell: antennas times RIS units."""
+    m_side, d_r = cell
+    return m_side * m_side / (d_r * d_r)
+
+
 def run_sweep(config, threads=1):
     """Every (M, d_r) cell of the sweep, in (M, d_r) order.
 
-    Each cell owns its rng streams, so the results are identical for any
-    thread count.
+    With threads > 1 the cells run in forked worker processes, at most one
+    per usable core and one per cell, heaviest first. Each cell owns its rng
+    streams, so the results are identical for any worker count.
     """
     cells = [(m, d) for m in config.m_sides for d in config.d_r_values]
-    if threads == 1:
+    workers = min(threads, len(cells))
+    if workers > 1:
+        workers = min(workers, len(os.sched_getaffinity(0)))
+    if workers <= 1:
         return [run_cell(config, d, m) for m, d in cells]
-    workers = threads if threads > 0 else None
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_cell, config, d, m) for m, d in cells]
-        return [f.result() for f in futures]
+    # imported here: multiprocessing adds ~20 ms to every start of the
+    # program, which the in-process path and `fit` and `route` need not pay
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork: workers inherit the imported modules (and any wrapper installed
+    # on run_cell) instead of importing numpy afresh
+    pool = ProcessPoolExecutor(max_workers=workers,
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = {cell: pool.submit(run_cell, config, cell[1], cell[0])
+                   for cell in sorted(cells, key=_cell_weight, reverse=True)}
+        # read in (M, d_r) order so a failing sweep reports the same cell
+        # as the in-process loop
+        return [futures[cell].result() for cell in cells]
+    finally:
+        pool.shutdown(cancel_futures=True)

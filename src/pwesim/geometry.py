@@ -5,8 +5,7 @@ bounded rectangles described by a point, a unit normal and two in-plane unit
 axes with half-extents. All predicates here are pure functions.
 """
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,12 +14,6 @@ EXTENT_SLACK = 1e-9      # inclusive slack for wall-membership tests, meters
 PARALLEL_EPS = 1e-12     # |doa . n| below this counts as parallel
 ENDPOINT_EPS = 1e-9      # segment intersections this close to an endpoint are ignored, meters
 UNIT_TOL = 1e-9
-
-
-class RisMode(Enum):
-    DIFFUSION = "diffusion"
-    BEAM_STEERING = "beam_steering"
-    ABSORPTION = "absorption"
 
 
 def unit(v):
@@ -101,7 +94,6 @@ class RisUnit:
     center: np.ndarray
     normal: np.ndarray
     side: float
-    mode: RisMode = RisMode.ABSORPTION
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)

@@ -72,6 +72,44 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="d_r_values"):
             config_from_raw({"d_r_values": [-1.0]})
 
+    def test_integer_valued_float_accepted(self):
+        assert config_from_raw({"n_trials": 3.0, "m_sides": [2.0]}).n_trials == 3
+
+
+def assert_one_line_error(capsys, *words):
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    for word in words:
+        assert word in err
+    return err
+
+
+class TestConfigBoundary:
+    """Each malformed value exits 1 with one line naming the key."""
+
+    @pytest.mark.parametrize("text, key", [
+        ("seed = -1\n", "seed"),
+        ("room_length = NaN\n", "room_length"),
+        ("d_r_values = [0.5, Infinity]\n", "d_r_values"),
+        ("n_trials = 2.7\n", "n_trials"),
+        ("n_trials = true\n", "n_trials"),
+        ("m_sides = [2, true]\n", "m_sides"),
+        ("room_height = -3\n", "room_height"),
+    ], ids=["negative_seed", "nan", "infinity", "fractional_int", "bool",
+            "bool_in_list", "negative_room"])
+    def test_bad_value_exit_1(self, tmp_path, capsys, text, key):
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert_one_line_error(capsys, key)
+        assert not out.exists()
+
+    def test_negative_seed_flag_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--seed", "-1"]) == 1
+        assert_one_line_error(capsys, "seed")
+
 
 class TestSweepCommand:
     def test_writes_all_outputs(self, tmp_path):
@@ -116,6 +154,29 @@ class TestSweepCommand:
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1
         assert "d_r=0.5, M=1" in err and "Traceback" not in err
+
+    def test_negative_threads_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--threads", "-3"]) == 1
+        assert_one_line_error(capsys, "--threads")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, cell", [
+        ("d_r_values = [0.5, 50.0]\nm_sides = [2]\nn_trials = 2\n", "d_r=50.0, M=2"),
+        ("d_r_values = [0.5, 0.55]\nm_sides = [1]\nn_trials = 1\n", "d_r=0.5, M=1"),
+    ], ids=["scene_fault", "unfittable_cell"])
+    def test_worker_failure_exit_2(self, tmp_path, capsys, text, cell):
+        # the cell fails inside a worker process; exit code and message are
+        # those of the in-process run
+        cfg = write_config(tmp_path, text)
+        errors = []
+        for threads in ("1", "2"):
+            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                         "--threads", threads]) == 2
+            errors.append(assert_one_line_error(capsys, cell))
+        assert errors[0] == errors[1]
 
     def test_golden_digests(self, tmp_path):
         # pinned output bytes of a small fixed sweep; a change here is a
@@ -206,6 +267,22 @@ class TestRouteCommand:
         assert main(["route", "--config", str(cfg), "--spec", str(spec),
                      "--out", str(tmp_path / "r.json")]) == 2
 
+    def test_nan_doa_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        spec = self._spec_path(tmp_path, [(-1.0, 0.0, 0.0)] * 3 + [(float("nan"), 0.0, 0.0)])
+        assert main(["route", "--config", str(cfg), "--spec", str(spec),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert_one_line_error(capsys, "non-unit")
+
+    @pytest.mark.parametrize("bad", [[-1.0, 0.0], "x"], ids=["two_components", "text"])
+    def test_malformed_doa_exit_1(self, tmp_path, capsys, bad):
+        cfg = write_config(tmp_path)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps([[-1.0, 0.0, 0.0]] * 3 + [bad]))
+        assert main(["route", "--config", str(cfg), "--spec", str(spec),
+                     "--out", str(tmp_path / "r.json")]) == 1
+        assert_one_line_error(capsys, "DoA vectors")
+
 
 class TestFitCommand:
     def _data_path(self, tmp_path, values):
@@ -240,6 +317,20 @@ class TestFitCommand:
         data = self._data_path(tmp_path, [1.0, -2.0])
         assert main(["fit", "--data", str(data),
                      "--out", str(tmp_path / "f.json")]) == 1
+
+    def test_nan_exit_1(self, tmp_path, capsys):
+        data = self._data_path(tmp_path, [1.0, float("nan"), 3.0])
+        assert main(["fit", "--data", str(data),
+                     "--out", str(tmp_path / "f.json")]) == 1
+        err = assert_one_line_error(capsys, "finite", "phi_deg")
+        assert "spread" not in err
+
+    def test_short_row_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_text("trial,phi_deg\n0,1.0\n1\n")
+        assert main(["fit", "--data", str(path),
+                     "--out", str(tmp_path / "f.json")]) == 1
+        assert_one_line_error(capsys)
 
     def test_empty_exit_1(self, tmp_path):
         data = self._data_path(tmp_path, [])

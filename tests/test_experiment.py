@@ -1,3 +1,5 @@
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,10 @@ class TestConfigValidation:
             tiny_config(d_r_values=(0.5, 0.5))
         with pytest.raises(ValueError, match="m_sides"):
             tiny_config(m_sides=(2, 3, 2))
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            tiny_config(seed=-1)
 
 
 class TestSampleWavefront:
@@ -198,3 +204,60 @@ class TestRunSweep:
         for a, b in zip(seq, par):
             np.testing.assert_array_equal(a.dataset.samples, b.dataset.samples)
             assert a.report == b.report
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size and the order of
+    the submitted cells, and runs each cell at once in this process."""
+
+    def __init__(self, pools, max_workers, mp_context):
+        self.max_workers = max_workers
+        self.cells = []
+        pools.append(self)
+
+    def submit(self, fn, config, d_r, m_side):
+        self.cells.append((m_side, d_r))
+        future = Future()
+        future.set_result(fn(config, d_r, m_side))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+class TestWorkerPool:
+    CFG = tiny_config(d_r_values=(0.45, 0.55), m_sides=(2, 3), n_trials=2)
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        pools = []
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            lambda **kw: InlinePool(pools, **kw))
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2})
+        return pools
+
+    @pytest.mark.parametrize("threads, cores, workers", [(2, 3, 2), (8, 3, 3), (8, 16, 4)],
+                             ids=["threads", "cores", "cells"])
+    def test_workers_capped_at_cores_and_cells(self, pools, monkeypatch, threads, cores,
+                                               workers):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cores)))
+        cells = run_sweep(self.CFG, threads=threads)
+        assert [p.max_workers for p in pools] == [workers]
+        assert [(c.report.m_side, c.report.d_r) for c in cells] == \
+            [(2, 0.45), (2, 0.55), (3, 0.45), (3, 0.55)]
+        for got, want in zip(cells, run_sweep(self.CFG, threads=1)):
+            assert got.report == want.report and got.records == want.records
+
+    def test_heaviest_cell_first(self, pools):
+        run_sweep(self.CFG, threads=2)
+        # more antennas and smaller units cost more
+        assert pools[0].cells == [(3, 0.45), (3, 0.55), (2, 0.45), (2, 0.55)]
+
+    @pytest.mark.parametrize("threads", [-1, 0, 1])
+    def test_one_worker_starts_no_pool(self, pools, threads):
+        run_sweep(self.CFG, threads=threads)
+        assert pools == []
+
+    def test_one_cell_starts_no_pool(self, pools):
+        run_sweep(tiny_config(n_trials=2), threads=8)
+        assert pools == []
