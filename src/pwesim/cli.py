@@ -14,6 +14,7 @@ import sys
 from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -32,22 +33,10 @@ EXIT_BAD_CONFIG = 1
 EXIT_SCENE_FAULT = 2
 EXIT_IO = 3
 
-_SCALAR_KEYS = {
-    "n_trials": int,
-    "seed": int,
-    "n_bins": int,
-    "room_length": float,
-    "room_width": float,
-    "room_height": float,
-    "door_width": float,
-    "door_height": float,
-    "rx_spacing": float,
-    "ris_margin": float,
-}
-# list keys map to the type of their elements
-_LIST_KEYS = {"d_r_values": float, "m_sides": int, "tx_position": float,
-              "rx_position": float}
-_ALL_KEYS = set(_SCALAR_KEYS) | set(_LIST_KEYS)
+# config key -> annotated type: int, float or a tuple of them; a fixed-size
+# tuple such as tuple[float, float, float] also fixes the list length
+_KEY_TYPES = {f.name: f.type for cls in (SceneParams, ExperimentConfig)
+              for f in fields(cls) if f.name != "scene"}
 _SCENE_KEYS = {f.name for f in fields(SceneParams)}
 
 
@@ -66,40 +55,48 @@ def parse_config_text(text):
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"unknown key '{key}'")
         if key in raw:
             raise ConfigError(f"duplicate key '{key}'")
         try:
             parsed = json.loads(value.strip())
-        except json.JSONDecodeError:
+        except ValueError:    # JSONDecodeError, or an int past 4300 digits
             raise ConfigError(f"key '{key}': unparseable value {value.strip()!r}")
         raw[key] = parsed
     return raw
 
 
 def _number(key, x, kind):
-    """x as a finite `kind` (int or float); booleans and fractions are rejected."""
+    """x as a finite `kind` (int or float); booleans, fractions and numbers
+    past the float range are rejected."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ConfigError(f"key '{key}': expected a number, got {json.dumps(x)}")
-    if not math.isfinite(x):
+    try:
+        finite = math.isfinite(x)
+    except OverflowError:   # an int too large for a float
+        finite = False
+    if not finite:
         raise ConfigError(f"key '{key}': expected a finite number, got {x}")
     if kind is int and x != int(x):
         raise ConfigError(f"key '{key}': expected an integer, got {x}")
     return kind(x)
 
 
+def _value(key, x, kind):
+    """x parsed as the annotated type `kind` of config key `key`."""
+    if get_origin(kind) is not tuple:
+        return _number(key, x, kind)
+    items = get_args(kind)
+    if not isinstance(x, list):
+        raise ConfigError(f"key '{key}': expected a list of numbers")
+    if items[-1] is not Ellipsis and len(x) != len(items):
+        raise ConfigError(f"key '{key}': expected a list of {len(items)} numbers")
+    return tuple(_number(key, v, items[0]) for v in x)
+
+
 def config_from_raw(raw, seed_override=None):
-    values = {}
-    for key, value in raw.items():
-        if key in _LIST_KEYS:
-            if not isinstance(value, list):
-                raise ConfigError(f"key '{key}': expected a list of numbers")
-            values[key] = tuple(_number(key, x, _LIST_KEYS[key]) for x in value)
-        else:
-            values[key] = _number(key, value, _SCALAR_KEYS[key])
-        if key in ("tx_position", "rx_position") and len(value) != 3:
-            raise ConfigError(f"key '{key}': expected [x, y, z]")
+    values = {key: _value(key, x, _KEY_TYPES[key]) for key, x in raw.items()}
     if seed_override is not None:
         values["seed"] = seed_override
     try:
@@ -154,6 +151,9 @@ def cmd_sweep(args):
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
+        # manifest.json is written last, so it exists only beside a complete
+        # run; drop a previous run's before any CSV is replaced
+        (out / "manifest.json").unlink(missing_ok=True)
         dev_rows = []
         fit_rows = []
         hist_rows = []

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import AntennaArray, Aperture, WallPlane, tile_wall, unit
+from .geometry import AntennaArray, Aperture, WallPlane, tile_wall
 from .routing import WavefrontSpec, get_routes
 from .scene import Scene, SceneError, build_graph
 from .statfit import (DegenerateDataError, DeviationDataset, fit_gamma_mle,
@@ -33,8 +33,10 @@ class SceneParams:
     room_height: float = 3.0    # along z
     door_width: float = 1.2
     door_height: float = 2.2
-    tx_position: tuple = None   # default: near the far wall of room 1, mid-height
-    rx_position: tuple = None   # array center; default: low corner of room 2
+    # default: near the far wall of room 1, mid-height
+    tx_position: tuple[float, float, float] = None
+    # array center; default: low corner of room 2
+    rx_position: tuple[float, float, float] = None
     rx_spacing: float = 0.05
     ris_margin: float = 0.0
 
@@ -46,8 +48,8 @@ class SceneParams:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    d_r_values: tuple = (0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55)
-    m_sides: tuple = (4, 6, 8, 10)
+    d_r_values: tuple[float, ...] = (0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55)
+    m_sides: tuple[int, ...] = (4, 6, 8, 10)
     n_trials: int = 100
     seed: int = 0
     n_bins: int = 10
@@ -64,6 +66,8 @@ class ExperimentConfig:
             raise ValueError("m_sides must be >= 1")
         for key in ("d_r_values", "m_sides"):
             values = getattr(self, key)
+            if not values:
+                raise ValueError(f"{key} must not be empty")
             if len(set(values)) != len(values):
                 raise ValueError(f"{key} must not repeat a value")
         if self.n_bins < 2:
@@ -198,7 +202,6 @@ def run_cell(config, d_r, m_side):
     d_idx = config.d_r_values.index(d_r)
     m_idx = config.m_sides.index(m_side)
     streams = np.random.SeedSequence([config.seed, m_idx, d_idx]).spawn(config.n_trials)
-    path_cache = {}
     phis = []
     records = []
     n_failures = 0
@@ -209,7 +212,7 @@ def run_cell(config, d_r, m_side):
             rng = np.random.Generator(np.random.PCG64(ss))
             hits = []
             spec = sample_wavefront(scene, rng, hits)
-            routes = get_routes(scene, graph, spec, path_cache=path_cache, hits=hits)
+            routes = get_routes(scene, graph, spec, hits=hits)
             n_failures += len(routes.failures)
             for route in routes.routes:
                 phis.append(route.phi_deg)

@@ -140,14 +140,15 @@ def ray_wall_scale(ant, doa, wall):
 
 
 def ray_wall_point(ant, doa, walls, openings=()):
-    """First wall (ascending id) containing the forward ray intersection.
+    """First wall containing the forward ray intersection.
 
-    A hit inside a declared opening is not wall membership (a doorway is a
-    hole, not wall), so the scan moves on and the ray effectively continues
-    into the next room. Returns (point, wall_id) or None when no wall
-    contains a hit.
+    `walls` are scanned in the order given, which must be ascending by id
+    (`Scene` sorts its walls so). A hit inside a declared opening is not
+    wall membership (a doorway is a hole, not wall), so the scan moves on
+    and the ray effectively continues into the next room. Returns
+    (point, wall_id) or None when no wall contains a hit.
     """
-    for wall in sorted(walls, key=lambda w: w.id):
+    for wall in walls:
         d = ray_wall_scale(ant, doa, wall)
         if d is None:
             continue

@@ -77,21 +77,21 @@ def select_last_ris(point, candidates, antenna_index, graph):
     available[[graph.ris_vertex(rid) - 1 for rid in by_id]] = True
     available &= graph.row(graph.antenna_vertex(antenna_index))[1:1 + graph.n_ris]
     j = nearest_ris(point, graph.ris_centers, available)
-    return None if j is None else by_id[graph.vertices[1 + j].ref]
+    return None if j is None else by_id[graph.ris_ids[j]]
 
 
-def get_routes(scene, graph, spec, path_cache=None, hits=None):
+def get_routes(scene, graph, spec, hits=None):
     """Run the wavefront routing algorithm for every antenna in index order.
 
     Each antenna traces its desired ray to a wall point, claims the nearest
     LoS RIS (removed from the pool afterwards), and gets a minimum-hop
     Tx -> ... -> lastRIS path. Antenna vertices never appear as path hops.
-    Per-antenna failures are recorded, never fatal.
+    Per-antenna failures are recorded, never fatal. Paths come from
+    `graph.min_hop_path`, which memoizes them, so calls that share one graph
+    (the trials of one scene) search each lastRIS's path once.
 
-    path_cache maps a lastRIS vertex to its path tuple; pass a dict shared
-    across trials of one scene to avoid repeated path searches. hits, when
-    given, holds ray_wall_point(antenna, doa) per antenna, already traced
-    (as sample_wavefront does), so the rays are not traced again.
+    hits, when given, holds ray_wall_point(antenna, doa) per antenna, already
+    traced (as sample_wavefront does), so the rays are not traced again.
     """
     if len(spec.doas) != scene.rx.m:
         raise ValueError("spec length must match antenna count")
@@ -116,17 +116,12 @@ def get_routes(scene, graph, spec, path_cache=None, hits=None):
             failures.append((i, NO_CANDIDATE))
             continue
         free[j] = False
-        last_v = 1 + j
-        path = None if path_cache is None else path_cache.get(last_v)
-        if path is None:
-            path = graph.min_hop_path(last_v)
-            if path is not None and path_cache is not None:
-                path_cache[last_v] = path
+        path = graph.min_hop_path(1 + j)
         if path is None:
             failures.append((i, UNREACHABLE))
             continue
         realized = unit(centers[j] - ant)
-        routes.append(Route(antenna_index=i, last_ris_id=graph.vertices[last_v].ref,
+        routes.append(Route(antenna_index=i, last_ris_id=graph.ris_ids[j],
                             path=path, realized_doa=realized,
                             phi_deg=deviation_angle(doa, realized)))
     return RouteSet(routes=tuple(routes), failures=tuple(failures))

@@ -1,15 +1,17 @@
 """Scene container and the LoS visibility graph with minimum-hop paths.
 
-Vertices are ordered deterministically: transmitter first, then RIS units by
-ascending id, then receiver antennas by index. An edge exists iff the open
-segment between the two vertex positions crosses no wall outside a declared
-opening. Adjacency rows are computed lazily (vectorized over all endpoints)
-and cached, so large scenes stay tractable.
+A vertex is an index into `PweGraph.positions`: 0 is the transmitter,
+1..n_ris are the RIS units by ascending id (`ris_ids[j]` is the id of vertex
+1 + j), and the receiver antennas follow by index. An edge exists iff the
+open segment between the two vertex positions crosses no wall outside a
+declared opening. Adjacency rows are computed lazily (vectorized over all
+endpoints) and cached, so large scenes stay tractable.
 
 The Tx -> lastRIS path rule is `PweGraph.min_hop_path`: the direct edge when
 Tx sees lastRIS, else [Tx, u, lastRIS] with u the smallest RIS vertex visible
 from both, else `bfs_shortest_path` (also the test oracle) from lastRIS. It
-returns exactly what that BFS returns, reversed.
+returns exactly what that BFS returns, reversed, and is memoized per lastRIS
+on the graph, so one graph per scene shares its paths across trials.
 """
 
 from collections import deque
@@ -30,18 +32,6 @@ class SceneError(Exception):
     """The scene cannot support routing (e.g. transmitter sees no RIS)."""
 
 
-TX = "tx"
-RIS = "ris"
-ANT = "ant"
-
-
-@dataclass(frozen=True)
-class Vertex:
-    kind: str          # TX, RIS or ANT
-    ref: int           # RIS id or antenna index; 0 for the transmitter
-    position: np.ndarray
-
-
 @dataclass
 class Scene:
     walls: list
@@ -52,6 +42,8 @@ class Scene:
 
     def __post_init__(self):
         self.tx = np.asarray(self.tx, dtype=float)
+        # ray_wall_point scans walls in the order given: ascending id
+        self.walls = sorted(self.walls, key=lambda w: w.id)
         by_wall = {w.id: w for w in self.walls}
         for ris in self.ris_units:
             wall = by_wall[ris.wall_id]
@@ -60,26 +52,24 @@ class Scene:
 
 
 class PweGraph:
-    """Immutable LoS graph over a scene; adjacency rows cached per vertex."""
+    """Immutable LoS graph over a scene; adjacency rows and Tx paths cached."""
 
     def __init__(self, scene):
         self.scene = scene
-        verts = [Vertex(TX, 0, scene.tx)]
-        for ris in sorted(scene.ris_units, key=lambda r: r.id):
-            verts.append(Vertex(RIS, ris.id, np.asarray(ris.center, dtype=float)))
-        for i, pos in enumerate(scene.rx.antennas):
-            verts.append(Vertex(ANT, i, np.asarray(pos, dtype=float)))
-        self.vertices = verts
-        self.positions = np.array([v.position for v in verts])
-        self.n_ris = len(scene.ris_units)
-        self._ris_vertex = {v.ref: i for i, v in enumerate(verts) if v.kind == RIS}
+        units = sorted(scene.ris_units, key=lambda r: r.id)
+        self.ris_ids = [ris.id for ris in units]
+        self.n_ris = len(units)
+        self.positions = np.array([scene.tx] + [ris.center for ris in units]
+                                  + list(scene.rx.antennas), dtype=float)
+        self._ris_vertex = {rid: 1 + j for j, rid in enumerate(self.ris_ids)}
         self._rows = {}
+        self._paths = {}
 
     # -- vertex bookkeeping -------------------------------------------------
 
     @property
     def vertex_count(self):
-        return len(self.vertices)
+        return len(self.positions)
 
     @property
     def tx_vertex(self):
@@ -133,8 +123,13 @@ class PweGraph:
         `bfs_shortest_path(self, last, tx, antenna_vertices)`: the direct
         edge if Tx sees `last`; else the smallest RIS vertex u seen by both,
         found by testing Tx's visible RIS against `last` in ascending chunks;
-        else that BFS itself.
+        else that BFS itself. Results, None included, are memoized per `last`.
         """
+        if last not in self._paths:
+            self._paths[last] = self._search_path(last)
+        return self._paths[last]
+
+    def _search_path(self, last):
         tx = self.tx_vertex
         tx_row = self.row(tx)
         if tx_row[last]:
@@ -153,43 +148,14 @@ class PweGraph:
         """Neighbor indices of v in ascending order."""
         return np.flatnonzero(self.row(v))
 
-    def edges(self):
-        """Full edge set as sorted (u, v) pairs with u < v. O(V^2) segment tests."""
-        out = set()
-        for u in range(self.vertex_count):
-            for v in np.flatnonzero(self.row(u)):
-                v = int(v)
-                if u < v:
-                    out.add((u, v))
-        return out
-
-    @property
-    def e_u(self):
-        """Antenna-RIS edges."""
-        out = set()
-        for a in self.antenna_vertices:
-            row = self.row(a)
-            for v in np.flatnonzero(row[1:1 + self.n_ris]) + 1:
-                out.add((int(v), a))
-        return out
-
-    @property
-    def e_t(self):
-        """Transmitter-RIS edges."""
-        row = self.row(self.tx_vertex)
-        return {(0, int(v)) for v in np.flatnonzero(row[1:1 + self.n_ris]) + 1}
-
 
 def build_graph(scene):
     """Build the LoS graph; fault if the transmitter sees no RIS unit."""
-    graph = PweGraph(scene)
-    if scene.ris_units and not graph.e_t:
-        raise SceneError("transmitter has no LoS to any RIS unit")
     if not scene.ris_units:
         raise SceneError("scene contains no RIS units")
-    # warm the antenna rows so e_u reflects construction-time geometry
-    for a in graph.antenna_vertices:
-        graph.row(a)
+    graph = PweGraph(scene)
+    if not graph.row(graph.tx_vertex)[1:1 + graph.n_ris].any():
+        raise SceneError("transmitter has no LoS to any RIS unit")
     return graph
 
 

@@ -3,9 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwesim.cli import (ConfigError, config_from_raw, main, parse_config_text)
-from pwesim.experiment import build_scene
+from pwesim.experiment import ExperimentConfig, build_scene
 from pwesim.geometry import unit
 from pwesim.routing import WavefrontSpec, get_routes
 from pwesim.scene import build_graph
@@ -75,6 +77,23 @@ class TestConfigParsing:
     def test_integer_valued_float_accepted(self):
         assert config_from_raw({"n_trials": 3.0, "m_sides": [2.0]}).n_trials == 3
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["d_r_values", "m_sides", "n_trials", "seed", "n_bins",
+                         "room_length", "door_width", "tx_position", "bogus", ""]),
+        st.recursive(st.none() | st.booleans() | st.text(max_size=4)
+                     | st.integers(-10**400, 10**400) | st.floats(),
+                     lambda inner: st.lists(inner, max_size=4), max_leaves=6)
+        .map(lambda v: json.dumps(v)) | st.text(max_size=12)),
+        max_size=4))
+    def test_any_text_parses_or_config_error(self, entries):
+        text = "\n".join(f"{key} = {value}" for key, value in entries)
+        try:
+            cfg = config_from_raw(parse_config_text(text))
+        except ConfigError:
+            return
+        assert isinstance(cfg, ExperimentConfig)
+
 
 def assert_one_line_error(capsys, *words):
     err = capsys.readouterr().err.strip()
@@ -104,6 +123,30 @@ class TestConfigBoundary:
         assert_one_line_error(capsys, key)
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, key", [
+        ("room_length = 1" + "0" * 400 + "\n", "room_length"),
+        ("n_trials = 1" + "0" * 400 + "\n", "n_trials"),
+        ("d_r_values = [0.5, 1" + "0" * 400 + "]\n", "d_r_values"),
+        ("seed = 1" + "0" * 5000 + "\n", "seed"),
+    ], ids=["float_key", "int_key", "list_entry", "past_int_digit_limit"])
+    def test_number_past_float_range_exit_1(self, tmp_path, capsys, text, key):
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert_one_line_error(capsys, key)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "route"])
+    @pytest.mark.parametrize("key", ["d_r_values", "m_sides"])
+    def test_empty_sweep_list_exit_1(self, tmp_path, capsys, command, key):
+        cfg = write_config(tmp_path, f"{key} = []\n")
+        out = tmp_path / "out"
+        extra = ["--spec", str(write_config(tmp_path, "[]", "spec.json"))] \
+            if command == "route" else []
+        assert main([command, "--config", str(cfg), "--out", str(out)] + extra) == 1
+        assert_one_line_error(capsys, key)
+        assert not out.exists()
+
     def test_negative_seed_flag_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
@@ -124,6 +167,19 @@ class TestSweepCommand:
         import hashlib
         for name, digest in manifest["files"].items():
             assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
+
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path, capsys):
+        # a rerun into the same directory that fails partway must not leave
+        # the previous run's manifest beside the new CSVs
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        (out / "histograms.csv").unlink()
+        (out / "histograms.csv").mkdir()
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--seed", "1"]) == 3
+        assert_one_line_error(capsys, "histograms.csv")
+        assert not (out / "manifest.json").exists()
 
     def test_bad_config_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "d_r_values = [-1.0]\n")
