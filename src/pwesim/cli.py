@@ -19,9 +19,8 @@ from typing import get_args, get_origin
 import numpy as np
 
 from . import __version__
-from .experiment import (CellFitError, ExperimentConfig, SceneParams, build_scene,
-                         run_sweep)
-from .geometry import is_unit
+from .experiment import (MAX_BINS, CellFitError, ExperimentConfig, SceneParams,
+                         WorkerLostError, build_scene, run_sweep)
 from .routing import WavefrontSpec, get_routes
 from .scene import SceneError, build_graph
 from .statfit import (DegenerateDataError, DeviationDataset, fit_gamma_mle,
@@ -134,20 +133,24 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _fail(message, code):
+    """Report an error as one line on stderr; returns the exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def cmd_sweep(args):
     try:
         if args.threads < 0:
             raise ConfigError(f"--threads must be >= 0, got {args.threads}")
         config = load_config(args.config, args.seed)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        return _fail(exc, EXIT_BAD_CONFIG)
     started = datetime.now(timezone.utc).isoformat()
     try:
         results = run_sweep(config, threads=args.threads)
-    except (SceneError, CellFitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCENE_FAULT
+    except (SceneError, CellFitError, WorkerLostError) as exc:
+        return _fail(exc, EXIT_SCENE_FAULT)
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -199,8 +202,7 @@ def cmd_sweep(args):
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
                                            encoding="utf-8")
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _fail(exc, EXIT_IO)
     return EXIT_OK
 
 
@@ -209,30 +211,26 @@ def cmd_route(args):
         config = load_config(args.config, args.seed)
         spec_raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        return _fail(exc, EXIT_BAD_CONFIG)
     d_r = config.d_r_values[0]
     m_side = config.m_sides[0]
     try:
         scene = build_scene(config.scene, d_r, m_side)
         graph = build_graph(scene)
     except SceneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCENE_FAULT
+        return _fail(exc, EXIT_SCENE_FAULT)
     try:
         doas = [np.asarray(v, dtype=float) for v in spec_raw]
     except (TypeError, ValueError):
         doas = []
     if (not isinstance(spec_raw, list) or len(doas) != scene.rx.m
             or any(v.shape != (3,) for v in doas)):
-        print(f"error: spec must list {scene.rx.m} DoA vectors [x, y, z]",
-              file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    # is_unit is False for NaN components, which a "> tol" test lets through
-    if not all(is_unit(v, tol=1e-6) for v in doas):
-        print("error: spec contains non-unit DoA vectors", file=sys.stderr)
-        return EXIT_SCENE_FAULT
-    routes = get_routes(scene, graph, WavefrontSpec(doas=tuple(doas)))
+        return _fail(f"spec must list {scene.rx.m} DoA vectors [x, y, z]", EXIT_BAD_CONFIG)
+    try:
+        spec = WavefrontSpec(doas=tuple(doas))
+    except ValueError:    # a non-unit or NaN DoA
+        return _fail("spec contains non-unit DoA vectors", EXIT_SCENE_FAULT)
+    routes = get_routes(scene, graph, spec)
     payload = {
         "d_r": d_r,
         "m": scene.rx.m,
@@ -253,35 +251,31 @@ def cmd_route(args):
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n",
                                   encoding="utf-8")
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _fail(exc, EXIT_IO)
     return EXIT_OK
 
 
 def cmd_fit(args):
     import csv
 
+    if not 2 <= args.bins <= MAX_BINS:
+        return _fail(f"--bins must be between 2 and {MAX_BINS}", EXIT_BAD_CONFIG)
     try:
         with open(args.data, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or "phi_deg" not in reader.fieldnames:
-                print("error: data file needs a phi_deg column", file=sys.stderr)
-                return EXIT_BAD_CONFIG
+                return _fail("data file needs a phi_deg column", EXIT_BAD_CONFIG)
             samples = np.array([float(row["phi_deg"]) for row in reader])
     except (OSError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        return _fail(exc, EXIT_BAD_CONFIG)
     if not samples.size or not np.all(np.isfinite(samples) & (samples >= 0)):
-        print("error: phi_deg values must be nonempty, finite and non-negative",
-              file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        return _fail("phi_deg values must be nonempty, finite and non-negative", EXIT_BAD_CONFIG)
     data = DeviationDataset(samples=samples, d_r=float("nan"), m=0)
     try:
         gamma = fit_gamma_mle(data)
         rayleigh = fit_rayleigh_mle(data)
     except (ValueError, DegenerateDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        return _fail(exc, EXIT_BAD_CONFIG)
     payload = {
         "n": data.n,
         "gamma": {"k_hat": gamma.k_hat, "theta_hat": gamma.theta_hat,
@@ -297,8 +291,7 @@ def cmd_fit(args):
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n",
                                   encoding="utf-8")
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _fail(exc, EXIT_IO)
     return EXIT_OK
 
 

@@ -18,10 +18,18 @@ from .statfit import (DegenerateDataError, DeviationDataset, fit_gamma_mle,
                       fit_rayleigh_mle, gamma_pdf, kld_empirical, rayleigh_pdf)
 
 MAX_REJECTIONS = 10_000
+# config bounds: past them a sweep exhausts memory instead of failing up front
+MAX_TRIALS = 1_000_000
+MAX_M_SIDE = 64
+MAX_BINS = 10_000
 
 
 class CellFitError(Exception):
     """A sweep cell's pooled deviations cannot be fitted (too few or degenerate)."""
+
+
+class WorkerLostError(Exception):
+    """A sweep worker process died (e.g. killed or out of memory)."""
 
 
 @dataclass(frozen=True)
@@ -56,22 +64,22 @@ class ExperimentConfig:
     scene: SceneParams = field(default_factory=SceneParams)
 
     def __post_init__(self):
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
+        if not 1 <= self.n_trials <= MAX_TRIALS:
+            raise ValueError(f"n_trials must be between 1 and {MAX_TRIALS}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if any(d <= 0 for d in self.d_r_values):
             raise ValueError("d_r_values must be positive")
-        if any(m < 1 for m in self.m_sides):
-            raise ValueError("m_sides must be >= 1")
+        if any(not 1 <= m <= MAX_M_SIDE for m in self.m_sides):
+            raise ValueError(f"m_sides must be between 1 and {MAX_M_SIDE}")
         for key in ("d_r_values", "m_sides"):
             values = getattr(self, key)
             if not values:
                 raise ValueError(f"{key} must not be empty")
             if len(set(values)) != len(values):
                 raise ValueError(f"{key} must not repeat a value")
-        if self.n_bins < 2:
-            raise ValueError("n_bins must be >= 2")
+        if not 2 <= self.n_bins <= MAX_BINS:
+            raise ValueError(f"n_bins must be between 2 and {MAX_BINS}")
 
 
 @dataclass(frozen=True)
@@ -152,8 +160,7 @@ def build_scene(params, d_r, m_side):
             dy = (c - (m_side - 1) / 2.0) * params.rx_spacing
             dz = ((m_side - 1) / 2.0 - r) * params.rx_spacing
             antennas.append(center + dy * ey + dz * ez)
-    rx = AntennaArray(antennas=tuple(antennas), rows=m_side, cols=m_side,
-                      spacing=params.rx_spacing, boresight=-ex)
+    rx = AntennaArray(antennas=tuple(antennas), rows=m_side, cols=m_side, boresight=-ex)
     return Scene(walls=walls, openings=openings, ris_units=ris_units, tx=tx, rx=rx)
 
 
@@ -259,16 +266,22 @@ def run_sweep(config, threads=1):
     # program, which the in-process path and `fit` and `route` need not pay
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     # fork: workers inherit the imported modules (and any wrapper installed
     # on run_cell) instead of importing numpy afresh
     pool = ProcessPoolExecutor(max_workers=workers,
                                mp_context=multiprocessing.get_context("fork"))
+    futures = {}
     try:
-        futures = {cell: pool.submit(run_cell, config, cell[1], cell[0])
-                   for cell in sorted(cells, key=_cell_weight, reverse=True)}
+        for cell in sorted(cells, key=_cell_weight, reverse=True):
+            futures[cell] = pool.submit(run_cell, config, cell[1], cell[0])
         # read in (M, d_r) order so a failing sweep reports the same cell
         # as the in-process loop
         return [futures[cell].result() for cell in cells]
+    except BrokenProcessPool:
+        got = {cell for cell, f in futures.items() if f.done() and f.exception() is None}
+        lost = ", ".join(f"(d_r={d}, M={m})" for m, d in cells if (m, d) not in got)
+        raise WorkerLostError(f"a worker process died; no result for cells {lost}") from None
     finally:
         pool.shutdown(cancel_futures=True)

@@ -92,12 +92,10 @@ class RisUnit:
     id: int
     wall_id: int
     center: np.ndarray
-    normal: np.ndarray
     side: float
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
-        self.normal = np.asarray(self.normal, dtype=float)
         if self.side <= 0:
             raise ValueError("RIS side must be positive")
 
@@ -109,7 +107,6 @@ class AntennaArray:
     antennas: tuple
     rows: int
     cols: int
-    spacing: float
     boresight: np.ndarray
 
     def __post_init__(self):
@@ -162,40 +159,11 @@ def ray_wall_point(ant, doa, walls, openings=()):
     return None
 
 
-def segment_clear(a, b, walls, openings=()):
-    """True iff the open segment (a, b) is not blocked by any wall rectangle.
-
-    A crossing inside a declared opening on that wall does not block;
-    crossings within ENDPOINT_EPS of either endpoint are ignored (an RIS
-    sits on its own wall).
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ab = b - a
-    length = float(np.linalg.norm(ab))
-    if length == 0.0:
-        raise ValueError("segment endpoints must differ")
-    for wall in walls:
-        denom = float(np.dot(ab, wall.n))
-        if abs(denom) < PARALLEL_EPS:
-            continue
-        t = float(np.dot(wall.p0 - a, wall.n)) / denom
-        if t * length < ENDPOINT_EPS or (1.0 - t) * length < ENDPOINT_EPS:
-            continue
-        p = a + t * ab
-        if not wall.contains(p):
-            continue
-        u, v = wall.local_uv(p)
-        if any(op.wall_id == wall.id and op.contains_uv(u, v) for op in openings):
-            continue
-        return False
-    return True
-
-
 def segments_clear_batch(a, bs, walls, openings=()):
-    """Vectorized segment_clear for one origin against many endpoints.
+    """Segment test from one origin to many endpoints, vectorized.
 
-    a: (3,) origin; bs: (N, 3) endpoints. Returns a bool array of length N.
+    a: (3,) origin; bs: (N, 3) endpoints. Returns a bool array of length N,
+    True where the open segment (a, b) crosses no wall outside an opening.
     """
     a = np.asarray(a, dtype=float)
     bs = np.asarray(bs, dtype=float)
@@ -262,7 +230,6 @@ def tile_wall(wall, d_r, margin=0.0, openings=(), id_start=0):
             uc = u_lo + d_r / 2.0
             vc = v_lo + d_r / 2.0
             center = wall.p0 + uc * wall.u_axis + vc * wall.v_axis
-            units.append(RisUnit(id=next_id, wall_id=wall.id, center=center,
-                                 normal=wall.n.copy(), side=d_r))
+            units.append(RisUnit(id=next_id, wall_id=wall.id, center=center, side=d_r))
             next_id += 1
     return units

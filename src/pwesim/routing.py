@@ -66,20 +66,6 @@ def nearest_ris(point, centers, available):
     return j if available[j] else None
 
 
-def select_last_ris(point, candidates, antenna_index, graph):
-    """Candidate RIS with LoS to the antenna that is nearest to `point`.
-
-    Ties break toward the smallest RIS id. Returns None when no candidate
-    has a graph edge to the antenna.
-    """
-    by_id = {r.id: r for r in candidates}
-    available = np.zeros(graph.n_ris, dtype=bool)
-    available[[graph.ris_vertex(rid) - 1 for rid in by_id]] = True
-    available &= graph.row(graph.antenna_vertex(antenna_index))[1:1 + graph.n_ris]
-    j = nearest_ris(point, graph.ris_centers, available)
-    return None if j is None else by_id[graph.ris_ids[j]]
-
-
 def get_routes(scene, graph, spec, hits=None):
     """Run the wavefront routing algorithm for every antenna in index order.
 

@@ -159,25 +159,6 @@ def build_graph(scene):
     return graph
 
 
-class SimpleGraph:
-    """Explicit adjacency-set graph for tests and ad-hoc path queries."""
-
-    def __init__(self, n, edges):
-        self.vertex_count = n
-        self._adj = [set() for _ in range(n)]
-        for u, v in edges:
-            if u == v:
-                raise ValueError("self loops not allowed")
-            self._adj[u].add(v)
-            self._adj[v].add(u)
-
-    def neighbors(self, v):
-        return sorted(self._adj[v])
-
-    def has_edge(self, u, v):
-        return v in self._adj[u]
-
-
 def bfs_shortest_path(graph, source, target, banned=()):
     """Minimum-hop path from source to target avoiding banned vertices.
 

@@ -28,13 +28,12 @@ def box_walls(size=(4.0, 4.0, 3.0), id_start=0):
 
 def single_antenna_array(position, boresight=(0.0, 0.0, 1.0)):
     return AntennaArray(antennas=(np.asarray(position, dtype=float),),
-                        rows=1, cols=1, spacing=0.1, boresight=boresight)
+                        rows=1, cols=1, boresight=boresight)
 
 
 def ris_on_wall(rid, wall, u, v, side=0.2):
     center = wall.p0 + u * wall.u_axis + v * wall.v_axis
-    return RisUnit(id=rid, wall_id=wall.id, center=center, normal=wall.n.copy(),
-                   side=side)
+    return RisUnit(id=rid, wall_id=wall.id, center=center, side=side)
 
 
 @pytest.fixture

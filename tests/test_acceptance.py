@@ -16,12 +16,13 @@ from pwesim.cli import main as cli_main
 from pwesim.experiment import ExperimentConfig, run_sweep
 from pwesim.geometry import tile_wall, unit
 from pwesim.routing import WavefrontSpec, get_routes
-from pwesim.scene import Scene, SimpleGraph, bfs_shortest_path, build_graph
+from pwesim.scene import Scene, bfs_shortest_path, build_graph
 from pwesim.statfit import (DeviationDataset, digamma, fit_gamma_mle,
                             fit_rayleigh_mle, gamma_pdf, kld_empirical,
                             make_histogram)
 
 from conftest import box_walls
+from oracles import SimpleGraph
 from test_routing import grid_array
 
 SWEEP_D_R = (0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55)

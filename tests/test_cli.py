@@ -1,5 +1,7 @@
 import csv
 import json
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from pwesim.experiment import ExperimentConfig, build_scene
 from pwesim.geometry import unit
 from pwesim.routing import WavefrontSpec, get_routes
 from pwesim.scene import build_graph
+
+from test_experiment import InlinePool
 
 SMALL_CONFIG = """\
 # quick smoke sweep
@@ -153,6 +157,59 @@ class TestConfigBoundary:
                      "--seed", "-1"]) == 1
         assert_one_line_error(capsys, "seed")
 
+    @pytest.mark.parametrize("raw, key", [
+        ({"n_trials": 10**300}, "n_trials"),
+        ({"n_trials": 1_000_001}, "n_trials"),
+        ({"m_sides": [4, 10**15]}, "m_sides"),
+        ({"m_sides": [65]}, "m_sides"),
+        ({"n_bins": 10**11}, "n_bins"),
+        ({"n_bins": 10_001}, "n_bins"),
+    ], ids=["huge_trials", "trials", "huge_m", "m", "huge_bins", "bins"])
+    def test_value_past_bound_rejected(self, raw, key):
+        with pytest.raises(ConfigError, match=key):
+            config_from_raw(raw)
+
+    def test_values_at_bounds_accepted(self):
+        cfg = config_from_raw({"n_trials": 1_000_000, "m_sides": [1, 64], "n_bins": 10_000})
+        assert (cfg.n_trials, cfg.m_sides, cfg.n_bins) == (1_000_000, (1, 64), 10_000)
+
+    @pytest.mark.parametrize("text, key", [
+        ("n_trials = 1000001\n", "n_trials"),
+        ("m_sides = [1000000000000000]\n", "m_sides"),
+        ("n_bins = 100000000000\n", "n_bins"),
+    ], ids=["n_trials", "m_sides", "n_bins"])
+    def test_value_past_bound_exit_1_before_any_cell(self, tmp_path, capsys, monkeypatch,
+                                                     text, key):
+        def no_cells(config, threads):
+            raise AssertionError("a sweep cell ran")
+
+        monkeypatch.setattr("pwesim.cli.run_sweep", no_cells)
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert_one_line_error(capsys, key)
+        assert not out.exists()
+
+
+class BrokenPool(InlinePool):
+    """InlinePool that breaks after the first submitted cell, as a pool does
+    when a worker process is killed: later futures raise BrokenProcessPool,
+    or with on_submit, later submits do."""
+
+    def __init__(self, pools, max_workers, mp_context, on_submit=False):
+        super().__init__(pools, max_workers, mp_context)
+        self.on_submit = on_submit
+
+    def submit(self, fn, config, d_r, m_side):
+        if not self.cells:
+            return super().submit(fn, config, d_r, m_side)
+        if self.on_submit:
+            raise BrokenProcessPool("a process in the pool was terminated")
+        self.cells.append((m_side, d_r))
+        future = Future()
+        future.set_exception(BrokenProcessPool("a process in the pool was terminated"))
+        return future
+
 
 class TestSweepCommand:
     def test_writes_all_outputs(self, tmp_path):
@@ -233,6 +290,24 @@ class TestSweepCommand:
                          "--threads", threads]) == 2
             errors.append(assert_one_line_error(capsys, cell))
         assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("on_submit", [False, True], ids=["result", "submit"])
+    def test_killed_worker_exit_2(self, tmp_path, capsys, monkeypatch, on_submit):
+        # the heaviest cell, submitted first, gets its result; the others none
+        pools = []
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            lambda **kw: BrokenPool(pools, on_submit=on_submit, **kw))
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
+        cfg = write_config(tmp_path, "d_r_values = [0.45, 0.55]\nm_sides = [2, 3]\n"
+                                     "n_trials = 2\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--threads", "2"]) == 2
+        err = assert_one_line_error(capsys, "worker", "d_r=0.45, M=2", "d_r=0.55, M=2",
+                                    "d_r=0.55, M=3")
+        assert "d_r=0.45, M=3" not in err
+        assert pools[0].cells[0] == (3, 0.45)
+        assert not out.exists()
 
     def test_golden_digests(self, tmp_path):
         # pinned output bytes of a small fixed sweep; a change here is a
@@ -392,6 +467,14 @@ class TestFitCommand:
         data = self._data_path(tmp_path, [])
         assert main(["fit", "--data", str(data),
                      "--out", str(tmp_path / "f.json")]) == 1
+
+    @pytest.mark.parametrize("bins", ["1", "0", "-3", "10001"])
+    def test_bins_out_of_range_exit_1(self, tmp_path, capsys, bins):
+        data = self._data_path(tmp_path, [3.0, 4.0])
+        out = tmp_path / "f.json"
+        assert main(["fit", "--data", str(data), "--out", str(out), "--bins", bins]) == 1
+        assert_one_line_error(capsys, "--bins")
+        assert not out.exists()
 
     def test_missing_column_exit_1(self, tmp_path):
         path = tmp_path / "data.csv"

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pwesim.geometry import (Aperture, WallPlane, ray_wall_point,
-                             ray_wall_scale, segment_clear,
-                             segments_clear_batch, tile_wall, unit)
+                             ray_wall_scale, segments_clear_batch, tile_wall, unit)
 
 from conftest import box_walls
+from oracles import segment_clear
 
 
 def zwall(z, wid=0, u_extent=5.0, v_extent=5.0):

@@ -1,6 +1,7 @@
 """Source checks that need no import of the package."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pwesim"
@@ -18,14 +19,52 @@ def unused_imports(tree):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def unreferenced_defs(trees):
+    """Module-level functions and classes, as "module.name", that no code
+    outside their own definition reads by name. `trees` maps module name
+    to its parsed source; an import alone is not a reference."""
+    readers = defaultdict(set)     # name -> (module, top-level def) reading it
+    defs = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            owner = None
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                owner = top.name
+                defs.append((module, top.name))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    readers[node.id].add((module, owner))
+    return sorted(f"{module}.{name}" for module, name in defs
+                  if not readers[name] - {(module, name)})
+
+
+def _src_trees():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
 def test_unused_imports_are_found():
     tree = ast.parse("import os\nfrom math import pi, tau\nprint(os.sep, tau)\n")
     assert unused_imports(tree) == [(2, "pi")]
 
 
 def test_no_unused_imports():
-    # __init__ imports names to re-export them, not to use them
-    found = [f"{path.name}:{line}: {name}"
-             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
-             for line, name in unused_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    found = [f"{module}.py:{line}: {name}"
+             for module, tree in _src_trees().items()
+             for line, name in unused_imports(tree)]
     assert not found, "unused imports: " + ", ".join(found)
+
+
+def test_unreferenced_defs_are_found():
+    trees = {
+        "a": ast.parse("def used():\n    pass\n\n\ndef rec(n):\n    return rec(n - 1)\n\n\n"
+                       "class Lone:\n    pass\n"),
+        "b": ast.parse("from a import Lone, rec, used\n\nused()\n"),
+    }
+    assert unreferenced_defs(trees) == ["a.Lone", "a.rec"]
+
+
+def test_every_def_is_referenced():
+    # a name only the tests call belongs in tests/oracles.py, not in src/
+    found = unreferenced_defs(_src_trees())
+    assert not found, "defined but never referenced in src/: " + ", ".join(found)

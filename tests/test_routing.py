@@ -3,13 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from pwesim.geometry import (AntennaArray, Aperture, WallPlane, segment_clear,
-                             tile_wall, unit)
+from pwesim.geometry import AntennaArray, Aperture, WallPlane, tile_wall, unit
 from pwesim.routing import (NO_CANDIDATE, NO_HIT, WavefrontSpec,
-                            deviation_angle, get_routes, select_last_ris)
+                            deviation_angle, get_routes)
 from pwesim.scene import Scene, bfs_shortest_path, build_graph
 
 from conftest import box_walls, ris_on_wall, single_antenna_array
+from oracles import segment_clear, select_last_ris
 
 
 def grid_array(center, m_side, spacing=0.05):
@@ -21,7 +21,7 @@ def grid_array(center, m_side, spacing=0.05):
             dz = ((m_side - 1) / 2.0 - r) * spacing
             ants.append(center + np.array([dx, 0.0, dz]))
     return AntennaArray(antennas=tuple(ants), rows=m_side, cols=m_side,
-                        spacing=spacing, boresight=(0.0, 1.0, 0.0))
+                        boresight=(0.0, 1.0, 0.0))
 
 
 def tiled_box_scene(m_side=2, d_r=0.5):
@@ -342,11 +342,10 @@ class TestRotationInvariance:
 
         from pwesim.geometry import RisUnit
         ris = [RisUnit(id=r.id, wall_id=r.wall_id, center=R @ r.center,
-                       normal=R @ r.normal, side=r.side)
+                       side=r.side)
                for r in scene.ris_units]
         rx = AntennaArray(antennas=tuple(R @ np.asarray(a) for a in scene.rx.antennas),
                           rows=scene.rx.rows, cols=scene.rx.cols,
-                          spacing=scene.rx.spacing,
                           boresight=R @ np.asarray(scene.rx.boresight, float))
         return Scene(walls=[rw(w) for w in scene.walls], openings=list(scene.openings),
                      ris_units=ris, tx=R @ np.asarray(scene.tx, float), rx=rx)

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from pwesim.experiment import SceneParams, build_scene
-from pwesim.geometry import Aperture, WallPlane, segment_clear
-from pwesim.scene import (PweGraph, Scene, SceneError, SimpleGraph,
-                          bfs_shortest_path, build_graph)
+from pwesim.geometry import Aperture, WallPlane
+from pwesim.scene import PweGraph, Scene, SceneError, bfs_shortest_path, build_graph
 
 from conftest import box_walls, ris_on_wall, single_antenna_array
+from oracles import SimpleGraph, segment_clear
 
 
 def one_room_scene():
