@@ -218,7 +218,7 @@ def cmd_route(args):
         scene = build_scene(config.scene, d_r, m_side)
         graph = build_graph(scene)
     except SceneError as exc:
-        return _fail(exc, EXIT_SCENE_FAULT)
+        return _fail(f"cell (d_r={d_r}, M={m_side}): {exc}", EXIT_SCENE_FAULT)
     try:
         doas = [np.asarray(v, dtype=float) for v in spec_raw]
     except (TypeError, ValueError):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import AntennaArray, Aperture, WallPlane, tile_wall
+from .geometry import AntennaArray, Aperture, WallPlane, grid_shape, tile_wall
 from .routing import WavefrontSpec, get_routes
 from .scene import Scene, SceneError, build_graph
 from .statfit import (DegenerateDataError, DeviationDataset, fit_gamma_mle,
@@ -22,6 +22,8 @@ MAX_REJECTIONS = 10_000
 MAX_TRIALS = 1_000_000
 MAX_M_SIDE = 64
 MAX_BINS = 10_000
+# RIS units one scene may tile; d_r = 0.02 lays 380,790 on the default walls
+MAX_RIS_UNITS = 1_000_000
 
 
 class CellFitError(Exception):
@@ -136,11 +138,16 @@ def build_scene(params, d_r, m_side):
                          u_half=params.door_width / 2.0,
                          v_half=params.door_height / 2.0)]
 
-    ris_units = []
-    for wid in (0, 1, 2, 3, 4, 5, 6, 7, 8):    # room-2 boundary, room-1 walls
-        ris_units.extend(tile_wall(walls[wid], d_r, margin=params.ris_margin,
-                                   openings=openings, id_start=len(ris_units)))
-    if not ris_units:
+    tiled = walls[:9]    # room-2 boundary, room-1 walls
+    n_grid = sum(np.prod(grid_shape(w, d_r, params.ris_margin)) for w in tiled)
+    if n_grid > MAX_RIS_UNITS:
+        raise SceneError(f"RIS units of side {d_r} would number more than {MAX_RIS_UNITS}")
+    per_wall = [tile_wall(w, d_r, margin=params.ris_margin, openings=openings)
+                for w in tiled]
+    # a RIS id is its row in ris_centers: wall order, then v outer, u inner
+    ris_centers = np.concatenate(per_wall)
+    ris_walls = np.repeat([w.id for w in tiled], [len(c) for c in per_wall])
+    if not len(ris_centers):
         raise SceneError(f"no RIS unit of side {d_r} fits any tiled wall")
 
     tx = params.tx_position
@@ -154,14 +161,14 @@ def build_scene(params, d_r, m_side):
     if rx_center is None:
         rx_center = (2.0 * length - 1.5, 0.8, 0.8)
     center = np.asarray(rx_center, dtype=float)
-    antennas = []
-    for r in range(m_side):
-        for c in range(m_side):
-            dy = (c - (m_side - 1) / 2.0) * params.rx_spacing
-            dz = ((m_side - 1) / 2.0 - r) * params.rx_spacing
-            antennas.append(center + dy * ey + dz * ez)
-    rx = AntennaArray(antennas=tuple(antennas), rows=m_side, cols=m_side, boresight=-ex)
-    return Scene(walls=walls, openings=openings, ris_units=ris_units, tx=tx, rx=rx)
+    # antenna r * m_side + c sits at row r (top first), column c
+    steps = np.arange(m_side)
+    dy = ((steps - (m_side - 1) / 2.0) * params.rx_spacing)[:, None]          # by c
+    dz = (((m_side - 1) / 2.0 - steps) * params.rx_spacing)[:, None, None]    # by r
+    antennas = (center + dy * ey + dz * ez).reshape(-1, 3)
+    rx = AntennaArray(antennas=antennas, rows=m_side, cols=m_side, boresight=-ex)
+    return Scene(walls=walls, openings=openings, ris_centers=ris_centers,
+                 ris_walls=ris_walls, tx=tx, rx=rx)
 
 
 def sample_wavefront(scene, rng, hits=None):

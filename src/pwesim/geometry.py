@@ -80,41 +80,29 @@ class Aperture:
                 and abs(v - self.v_center) <= self.v_half + slack)
 
     def overlaps_uv_rect(self, u_lo, u_hi, v_lo, v_hi):
-        """Open-interval overlap test against a uv-aligned rectangle."""
-        return (u_lo < self.u_center + self.u_half and u_hi > self.u_center - self.u_half
-                and v_lo < self.v_center + self.v_half and v_hi > self.v_center - self.v_half)
-
-
-@dataclass
-class RisUnit:
-    """Square RIS tile of side `side` centered on a host wall."""
-
-    id: int
-    wall_id: int
-    center: np.ndarray
-    side: float
-
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float)
-        if self.side <= 0:
-            raise ValueError("RIS side must be positive")
+        """Open-interval overlap test against a uv-aligned rectangle; takes
+        scalars or broadcastable arrays."""
+        return ((u_lo < self.u_center + self.u_half) & (u_hi > self.u_center - self.u_half)
+                & (v_lo < self.v_center + self.v_half) & (v_hi > self.v_center - self.v_half))
 
 
 @dataclass(frozen=True)
 class AntennaArray:
-    """Planar rows x cols receiver array; `antennas` ordered row-major."""
+    """Planar rows x cols receiver array; `antennas` is a read-only
+    (rows*cols, 3) array, row-major: antenna i is row i."""
 
-    antennas: tuple
+    antennas: np.ndarray
     rows: int
     cols: int
     boresight: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "antennas",
-                           tuple(np.asarray(a, dtype=float) for a in self.antennas))
-        object.__setattr__(self, "boresight", unit(self.boresight))
-        if len(self.antennas) != self.rows * self.cols:
+        antennas = np.array(self.antennas, dtype=float)
+        if antennas.shape != (self.rows * self.cols, 3):
             raise ValueError("antenna count must equal rows*cols")
+        antennas.setflags(write=False)
+        object.__setattr__(self, "antennas", antennas)
+        object.__setattr__(self, "boresight", unit(self.boresight))
 
     @property
     def m(self):
@@ -195,41 +183,43 @@ def segments_clear_batch(a, bs, walls, openings=()):
     return clear
 
 
-def tile_wall(wall, d_r, margin=0.0, openings=(), id_start=0):
-    """Maximal regular grid of d_r x d_r RIS units centered on the wall.
-
-    Units keep >= margin to the wall edges and skip cells overlapping any
-    opening declared on this wall. Ids ascend row-major (v outer, u inner).
-    Returns [] when the wall cannot host a single unit.
+def grid_shape(wall, d_r, margin=0.0):
+    """(n_u, n_v): units per row and rows of the d_r x d_r grid `tile_wall`
+    lays on `wall` keeping >= margin to its edges, or (0, 0) when no unit
+    fits. Floats, so a tiny d_r gives a count to compare, not an overflow.
     """
     if d_r <= 0:
         raise ValueError("d_r must be positive")
     if margin < 0:
         raise ValueError("margin must be non-negative")
-    usable_u = 2.0 * wall.u_extent - 2.0 * margin
-    usable_v = 2.0 * wall.v_extent - 2.0 * margin
-    n_u = int(np.floor(usable_u / d_r + 1e-12))
-    n_v = int(np.floor(usable_v / d_r + 1e-12))
+    n_u = float(np.floor((2.0 * wall.u_extent - 2.0 * margin) / d_r + 1e-12))
+    n_v = float(np.floor((2.0 * wall.v_extent - 2.0 * margin) / d_r + 1e-12))
     if n_u < 1 or n_v < 1:
-        return []
+        return 0.0, 0.0
+    return n_u, n_v
+
+
+def tile_wall(wall, d_r, margin=0.0, openings=()):
+    """Centers of the maximal regular grid of d_r x d_r RIS units on the wall.
+
+    The grid of `grid_shape` is centered on the wall; cells overlapping any
+    opening declared on this wall are skipped. Returns an (n, 3) array in
+    row-major order (v outer, u inner); n is 0 when the wall cannot host a
+    single unit.
+    """
+    n_u, n_v = grid_shape(wall, d_r, margin)
+    if not n_u:
+        return np.empty((0, 3))
     # center the grid inside the usable area
-    grid_w = n_u * d_r
-    grid_h = n_v * d_r
-    u0 = -grid_w / 2.0
-    v0 = -grid_h / 2.0
-    wall_openings = [op for op in openings if op.wall_id == wall.id]
-    units = []
-    next_id = id_start
-    for iv in range(n_v):
-        for iu in range(n_u):
-            u_lo = u0 + iu * d_r
-            v_lo = v0 + iv * d_r
-            if any(op.overlaps_uv_rect(u_lo, u_lo + d_r, v_lo, v_lo + d_r)
-                   for op in wall_openings):
-                continue
-            uc = u_lo + d_r / 2.0
-            vc = v_lo + d_r / 2.0
-            center = wall.p0 + uc * wall.u_axis + vc * wall.v_axis
-            units.append(RisUnit(id=next_id, wall_id=wall.id, center=center, side=d_r))
-            next_id += 1
-    return units
+    u0 = -(n_u * d_r) / 2.0
+    v0 = -(n_v * d_r) / 2.0
+    u_lo = u0 + np.arange(int(n_u)) * d_r           # (n_u,)
+    v_lo = (v0 + np.arange(int(n_v)) * d_r)[:, None]  # (n_v, 1)
+    keep = np.ones((int(n_v), int(n_u)), dtype=bool)
+    for op in openings:
+        if op.wall_id == wall.id:
+            keep &= ~op.overlaps_uv_rect(u_lo, u_lo + d_r, v_lo, v_lo + d_r)
+    uc = u_lo + d_r / 2.0
+    vc = v_lo + d_r / 2.0
+    centers = wall.p0 + uc[:, None] * wall.u_axis + vc[:, :, None] * wall.v_axis
+    return centers[keep]

@@ -57,8 +57,8 @@ def deviation_angle(desired, realized):
 def nearest_ris(point, centers, available):
     """Row of the available RIS center nearest to `point`, or None.
 
-    `centers` are in ascending id order, so argmin's first-hit rule is the
-    smallest-id tie break.
+    A row is a RIS id, so argmin's first-hit rule is the smallest-id tie
+    break.
     """
     diff = centers - point
     d2 = np.einsum("ij,ij->i", diff, diff)
@@ -84,7 +84,7 @@ def get_routes(scene, graph, spec, hits=None):
     if hits is not None and len(hits) != len(spec.doas):
         raise ValueError("hits length must match antenna count")
     n_ris = graph.n_ris
-    centers = graph.ris_centers
+    centers = scene.ris_centers
     free = np.ones(n_ris, dtype=bool)
     routes = []
     failures = []
@@ -102,12 +102,12 @@ def get_routes(scene, graph, spec, hits=None):
             failures.append((i, NO_CANDIDATE))
             continue
         free[j] = False
-        path = graph.min_hop_path(1 + j)
+        path = graph.min_hop_path(graph.ris_vertex(j))
         if path is None:
             failures.append((i, UNREACHABLE))
             continue
         realized = unit(centers[j] - ant)
-        routes.append(Route(antenna_index=i, last_ris_id=graph.ris_ids[j],
+        routes.append(Route(antenna_index=i, last_ris_id=j,
                             path=path, realized_doa=realized,
                             phi_deg=deviation_angle(doa, realized)))
     return RouteSet(routes=tuple(routes), failures=tuple(failures))

@@ -1,8 +1,9 @@
 """Scene container and the LoS visibility graph with minimum-hop paths.
 
-A vertex is an index into `PweGraph.positions`: 0 is the transmitter,
-1..n_ris are the RIS units by ascending id (`ris_ids[j]` is the id of vertex
-1 + j), and the receiver antennas follow by index. An edge exists iff the
+A RIS unit is a row of `Scene.ris_centers`, and its id is that row index;
+`Scene.ris_walls` holds the id of each row's host wall. A vertex is an index
+into `PweGraph.positions`: 0 is the transmitter, 1 + j is RIS j, and the
+receiver antennas follow by index. An edge exists iff the
 open segment between the two vertex positions crosses no wall outside a
 declared opening. Adjacency rows are computed lazily (vectorized over all
 endpoints) and cached, so large scenes stay tractable.
@@ -36,7 +37,8 @@ class SceneError(Exception):
 class Scene:
     walls: list
     openings: list
-    ris_units: list
+    ris_centers: np.ndarray    # (n_ris, 3), read-only copy; RIS id j is row j
+    ris_walls: np.ndarray      # (n_ris,), read-only copy; host wall id per row
     tx: np.ndarray
     rx: AntennaArray
 
@@ -44,11 +46,20 @@ class Scene:
         self.tx = np.asarray(self.tx, dtype=float)
         # ray_wall_point scans walls in the order given: ascending id
         self.walls = sorted(self.walls, key=lambda w: w.id)
-        by_wall = {w.id: w for w in self.walls}
-        for ris in self.ris_units:
-            wall = by_wall[ris.wall_id]
-            if abs(float(np.dot(ris.center - wall.p0, wall.n))) > 1e-9:
-                raise SceneError(f"RIS {ris.id} center is off its host wall")
+        self.ris_centers = np.array(self.ris_centers, dtype=float)
+        self.ris_walls = np.array(self.ris_walls, dtype=int)
+        self.ris_centers.setflags(write=False)
+        self.ris_walls.setflags(write=False)
+        if self.ris_walls.ndim != 1 or self.ris_centers.shape != (len(self.ris_walls), 3):
+            raise SceneError("ris_centers must be (n, 3) with one ris_walls entry per row")
+        unknown = np.flatnonzero(~np.isin(self.ris_walls, [w.id for w in self.walls]))
+        if len(unknown):
+            raise SceneError(f"RIS {unknown[0]} names no wall: {self.ris_walls[unknown[0]]}")
+        for wall in self.walls:
+            rows = np.flatnonzero(self.ris_walls == wall.id)
+            off = rows[np.abs((self.ris_centers[rows] - wall.p0) @ wall.n) > 1e-9]
+            if len(off):
+                raise SceneError(f"RIS {off[0]} center is off its host wall")
 
 
 class PweGraph:
@@ -56,12 +67,8 @@ class PweGraph:
 
     def __init__(self, scene):
         self.scene = scene
-        units = sorted(scene.ris_units, key=lambda r: r.id)
-        self.ris_ids = [ris.id for ris in units]
-        self.n_ris = len(units)
-        self.positions = np.array([scene.tx] + [ris.center for ris in units]
-                                  + list(scene.rx.antennas), dtype=float)
-        self._ris_vertex = {rid: 1 + j for j, rid in enumerate(self.ris_ids)}
+        self.n_ris = len(scene.ris_centers)
+        self.positions = np.vstack([scene.tx, scene.ris_centers, scene.rx.antennas])
         self._rows = {}
         self._paths = {}
 
@@ -76,7 +83,7 @@ class PweGraph:
         return 0
 
     def ris_vertex(self, ris_id):
-        return self._ris_vertex[ris_id]
+        return 1 + ris_id
 
     def antenna_vertex(self, index):
         return 1 + self.n_ris + index
@@ -84,11 +91,6 @@ class PweGraph:
     @property
     def antenna_vertices(self):
         return range(1 + self.n_ris, self.vertex_count)
-
-    @property
-    def ris_centers(self):
-        """RIS centers in vertex order (ascending id); row j is vertex 1 + j."""
-        return self.positions[1:1 + self.n_ris]
 
     # -- adjacency ----------------------------------------------------------
 
@@ -151,7 +153,7 @@ class PweGraph:
 
 def build_graph(scene):
     """Build the LoS graph; fault if the transmitter sees no RIS unit."""
-    if not scene.ris_units:
+    if not len(scene.ris_centers):
         raise SceneError("scene contains no RIS units")
     graph = PweGraph(scene)
     if not graph.row(graph.tx_vertex)[1:1 + graph.n_ris].any():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pwesim.geometry import AntennaArray, RisUnit, WallPlane
+from pwesim.geometry import AntennaArray, WallPlane, tile_wall
 
 
 def box_walls(size=(4.0, 4.0, 3.0), id_start=0):
@@ -31,9 +31,16 @@ def single_antenna_array(position, boresight=(0.0, 0.0, 1.0)):
                         rows=1, cols=1, boresight=boresight)
 
 
-def ris_on_wall(rid, wall, u, v, side=0.2):
-    center = wall.p0 + u * wall.u_axis + v * wall.v_axis
-    return RisUnit(id=rid, wall_id=wall.id, center=center, side=side)
+def ris_on_wall(wall, u, v):
+    """Center of a RIS unit at in-plane offset (u, v) on `wall`."""
+    return wall.p0 + u * wall.u_axis + v * wall.v_axis
+
+
+def tiled_ris(walls, d_r, openings=()):
+    """`Scene` RIS keywords for `tile_wall` grids on `walls`, in wall order."""
+    per_wall = [tile_wall(w, d_r, openings=openings) for w in walls]
+    return dict(ris_centers=np.concatenate(per_wall),
+                ris_walls=np.repeat([w.id for w in walls], [len(c) for c in per_wall]))
 
 
 @pytest.fixture

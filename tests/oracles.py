@@ -5,12 +5,21 @@
 - `SimpleGraph`: an explicit adjacency-set graph, input to `bfs_shortest_path`.
 - `select_last_ris`: the lastRIS claim for an explicit candidate list, by
   the same `nearest_ris` rule that `get_routes` applies.
+- `tile_wall_loop` and `antenna_grid_loop`: one unit or antenna per loop
+  step, the scalar forms of `tile_wall` and `build_scene`'s antenna grid.
+- `reference_get_routes`: the routing algorithm written against its textual
+  rules only (first-hit wall scan, nearest unclaimed LoS unit with
+  smallest-id tie break, minimum-hop path with ascending neighbor expansion
+  and antennas excluded), over adjacency sets from `segment_clear`.
 """
+
+import itertools
+from collections import deque
 
 import numpy as np
 
-from pwesim.geometry import ENDPOINT_EPS, PARALLEL_EPS
-from pwesim.routing import nearest_ris
+from pwesim.geometry import ENDPOINT_EPS, PARALLEL_EPS, unit
+from pwesim.routing import NO_CANDIDATE, NO_HIT, deviation_angle, nearest_ris
 
 
 def segment_clear(a, b, walls, openings=()):
@@ -63,14 +72,133 @@ class SimpleGraph:
 
 
 def select_last_ris(point, candidates, antenna_index, graph):
-    """Candidate RIS with LoS to the antenna that is nearest to `point`.
+    """Row (RIS id) among `candidates` with LoS to the antenna that is
+    nearest to `point`.
 
-    Ties break toward the smallest RIS id. Returns None when no candidate
-    has a graph edge to the antenna.
+    Ties break toward the smallest id. Returns None when no candidate has a
+    graph edge to the antenna.
     """
-    by_id = {r.id: r for r in candidates}
     available = np.zeros(graph.n_ris, dtype=bool)
-    available[[graph.ris_vertex(rid) - 1 for rid in by_id]] = True
+    available[list(candidates)] = True
     available &= graph.row(graph.antenna_vertex(antenna_index))[1:1 + graph.n_ris]
-    j = nearest_ris(point, graph.ris_centers, available)
-    return None if j is None else by_id[graph.ris_ids[j]]
+    return nearest_ris(point, graph.scene.ris_centers, available)
+
+
+def tile_wall_loop(wall, d_r, margin=0.0, openings=()):
+    """`tile_wall` one unit at a time: (n, 3) centers, v outer, u inner."""
+    n_u = int(np.floor((2.0 * wall.u_extent - 2.0 * margin) / d_r + 1e-12))
+    n_v = int(np.floor((2.0 * wall.v_extent - 2.0 * margin) / d_r + 1e-12))
+    if n_u < 1 or n_v < 1:
+        return np.empty((0, 3))
+    u0 = -(n_u * d_r) / 2.0
+    v0 = -(n_v * d_r) / 2.0
+    centers = []
+    for iv in range(n_v):
+        for iu in range(n_u):
+            u_lo = u0 + iu * d_r
+            v_lo = v0 + iv * d_r
+            if any(op.wall_id == wall.id
+                   and u_lo < op.u_center + op.u_half and u_lo + d_r > op.u_center - op.u_half
+                   and v_lo < op.v_center + op.v_half and v_lo + d_r > op.v_center - op.v_half
+                   for op in openings):
+                continue
+            uc = u_lo + d_r / 2.0
+            vc = v_lo + d_r / 2.0
+            centers.append(wall.p0 + uc * wall.u_axis + vc * wall.v_axis)
+    return np.array(centers).reshape(-1, 3)
+
+
+def antenna_grid_loop(center, m_side, spacing):
+    """`build_scene`'s m_side x m_side antennas one at a time, row-major, in
+    the y-z plane: columns step along +y, rows along -z."""
+    ey, ez = np.eye(3)[1:]
+    center = np.asarray(center, dtype=float)
+    antennas = []
+    for r in range(m_side):
+        for c in range(m_side):
+            dy = (c - (m_side - 1) / 2.0) * spacing
+            dz = ((m_side - 1) / 2.0 - r) * spacing
+            antennas.append(center + dy * ey + dz * ez)
+    return np.array(antennas)
+
+
+def _ref_hit_point(ant, doa, walls, openings):
+    ant = np.asarray(ant, dtype=float)
+    for wall in sorted(walls, key=lambda w: w.id):
+        denom = float(np.dot(doa, wall.n))
+        if abs(denom) < 1e-12:
+            continue
+        d = float(np.dot(wall.p0 - ant, wall.n)) / denom
+        if d <= 0:
+            continue
+        p = ant + d * doa
+        u = float(np.dot(p - wall.p0, wall.u_axis))
+        v = float(np.dot(p - wall.p0, wall.v_axis))
+        if abs(u) > wall.u_extent + 1e-9 or abs(v) > wall.v_extent + 1e-9:
+            continue
+        if any(o.wall_id == wall.id and o.contains_uv(u, v) for o in openings):
+            continue
+        return p
+    return None
+
+
+def _ref_bfs(adj, source, target, banned):
+    parent = {source: None}
+    q = deque([source])
+    while q:
+        u = q.popleft()
+        for v in sorted(adj[u]):
+            if v in parent or v in banned:
+                continue
+            parent[v] = u
+            if v == target:
+                path = [v]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                return path[::-1]
+            q.append(v)
+    return None
+
+
+def _ref_routes(scene):
+    """(n_ris, positions, adjacency sets, banned antenna vertices) of the
+    scene's vertices: Tx, the RIS rows, then the antennas."""
+    n_ris = len(scene.ris_centers)
+    n_v = 1 + n_ris + scene.rx.m
+    pos = [np.asarray(scene.tx, float)]
+    pos += [np.asarray(c, float) for c in scene.ris_centers]
+    pos += [np.asarray(a, float) for a in scene.rx.antennas]
+    adj = {i: set() for i in range(n_v)}
+    for i, j in itertools.combinations(range(n_v), 2):
+        if segment_clear(pos[i], pos[j], scene.walls, scene.openings):
+            adj[i].add(j)
+            adj[j].add(i)
+    banned = set(range(1 + n_ris, n_v))
+    return n_ris, pos, adj, banned
+
+
+def reference_get_routes(scene, spec):
+    """(last_ris_id | reason, path, phi) per antenna, straight from the rules."""
+    n_ris, pos, adj, banned = _ref_routes(scene)
+    centers = scene.ris_centers
+    used = set()
+    out = []
+    for i, ant in enumerate(scene.rx.antennas):
+        ant = np.asarray(ant, float)
+        point = _ref_hit_point(ant, spec.doas[i], scene.walls, scene.openings)
+        if point is None:
+            out.append((NO_HIT, None, None))
+            continue
+        ant_v = 1 + n_ris + i
+        cand = [j for j in range(n_ris) if j not in used and 1 + j in adj[ant_v]]
+        if not cand:
+            out.append((NO_CANDIDATE, None, None))
+            continue
+        best = min(cand, key=lambda j: (float(np.linalg.norm(centers[j] - point)), j))
+        used.add(best)
+        path = _ref_bfs(adj, 1 + best, 0, banned)
+        if path is not None:
+            path = path[::-1]
+        phi = deviation_angle(spec.doas[i], unit(centers[best] - ant))
+        out.append((best, None if path is None else tuple(path), phi))
+    return out

@@ -21,7 +21,7 @@ from pwesim.statfit import (DeviationDataset, digamma, fit_gamma_mle,
                             fit_rayleigh_mle, gamma_pdf, kld_empirical,
                             make_histogram)
 
-from conftest import box_walls
+from conftest import box_walls, tiled_ris
 from oracles import SimpleGraph
 from test_routing import grid_array
 
@@ -112,16 +112,16 @@ def test_criterion_5_zero_deviation_witness():
     walls = box_walls((5, 4, 3))
     ris = tile_wall(walls[1], 0.4)   # ceiling grid
     rx = grid_array((2.5, 1.0, 1.2), 2)
-    scene = Scene(walls=walls, openings=[], ris_units=ris,
-                  tx=(1.0, 3.0, 1.5), rx=rx)
+    scene = Scene(walls=walls, openings=[], ris_centers=ris,
+                  ris_walls=[walls[1].id] * len(ris), tx=(1.0, 3.0, 1.5), rx=rx)
     graph = build_graph(scene)
     # each antenna aims exactly through a distinct RIS center
-    targets = [ris[7 * i + 3] for i in range(4)]
-    doas = tuple(unit(t.center - np.asarray(a))
+    targets = [7 * i + 3 for i in range(4)]
+    doas = tuple(unit(ris[t] - np.asarray(a))
                  for t, a in zip(targets, scene.rx.antennas))
     routes = get_routes(scene, graph, WavefrontSpec(doas=doas))
     ok = (len(routes.routes) == 4
-          and [r.last_ris_id for r in routes.routes] == [t.id for t in targets]
+          and [r.last_ris_id for r in routes.routes] == targets
           and all(r.phi_deg <= 1e-6 for r in routes.routes))
     report(5, "zero-deviation witness", ok)
 
@@ -166,10 +166,7 @@ def test_criterion_6_bfs_oracle_equivalence():
 
 def test_criterion_7_exclusivity():
     walls = box_walls((5, 4, 3))
-    ris = []
-    for w in (walls[1], walls[3]):
-        ris.extend(tile_wall(w, 0.45, id_start=len(ris)))
-    scene = Scene(walls=walls, openings=[], ris_units=ris,
+    scene = Scene(walls=walls, openings=[], **tiled_ris((walls[1], walls[3]), 0.45),
                   tx=(1.0, 3.0, 1.5), rx=grid_array((2.5, 1.0, 1.2), 3))
     graph = build_graph(scene)
     rng = np.random.default_rng(141421)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pwesim import experiment
 from pwesim.cli import (ConfigError, config_from_raw, main, parse_config_text)
 from pwesim.experiment import ExperimentConfig, build_scene
 from pwesim.geometry import unit
@@ -249,6 +250,23 @@ class TestSweepCommand:
                                      "n_trials = 2\n")
         assert main(["sweep", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("command", ["sweep", "route"])
+    def test_too_many_ris_units_exit_2(self, tmp_path, capsys, monkeypatch,
+                                       command):
+        # d_r = 0.001 would tile ~1.5e8 units; the bound stops it before any
+        # wall is tiled
+        def no_tiling(*args, **kwargs):
+            raise AssertionError("tile_wall called past the unit bound")
+        monkeypatch.setattr(experiment, "tile_wall", no_tiling)
+        cfg = write_config(tmp_path, "d_r_values = [0.001]\nm_sides = [2]\n"
+                                     "n_trials = 2\n")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps([[-1.0, 0.0, 0.0]] * 4))
+        args = {"sweep": ["--out", str(tmp_path / "out")],
+                "route": ["--spec", str(spec), "--out", str(tmp_path / "r.json")]}
+        assert main([command, "--config", str(cfg), *args[command]]) == 2
+        assert_one_line_error(capsys, "d_r=0.001, M=2", "RIS units")
 
     def test_repeated_sweep_value_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "d_r_values = [0.5, 0.5]\nn_trials = 2\n")

@@ -3,10 +3,14 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
+from pwesim import experiment
 from pwesim.experiment import (ExperimentConfig, SceneParams, build_scene,
                                run_cell, run_sweep, sample_wavefront)
+from pwesim.geometry import tile_wall
 from pwesim.routing import get_routes
 from pwesim.scene import SceneError, build_graph
+
+from oracles import antenna_grid_loop, tile_wall_loop
 
 
 def tiny_config(**kw):
@@ -37,19 +41,23 @@ class TestSceneParams:
         scene = build_scene(SceneParams(), d_r=0.3, m_side=2)
         door = scene.openings[0]
         divider = scene.walls[0]
-        for r in scene.ris_units:
-            if r.wall_id != 0:
+        for center, wall_id in zip(scene.ris_centers, scene.ris_walls):
+            if wall_id != 0:
                 continue
-            u, v = divider.local_uv(r.center)
-            h = r.side / 2
+            u, v = divider.local_uv(center)
+            h = 0.3 / 2
             overlap_u = abs(u - door.u_center) < h + door.u_half
             overlap_v = abs(v - door.v_center) < h + door.v_half
             assert not (overlap_u and overlap_v)
 
     def test_ris_ids_unique_ascending(self):
+        # a RIS id is its row: rows run in wall order, then v outer, u inner
         scene = build_scene(SceneParams(), d_r=0.4, m_side=2)
-        ids = [r.id for r in scene.ris_units]
-        assert ids == list(range(len(ids)))
+        assert list(scene.ris_walls) == sorted(scene.ris_walls)
+        assert set(scene.ris_walls) == set(range(9))
+        for wall in scene.walls[:9]:
+            uvs = [wall.local_uv(c) for c in scene.ris_centers[scene.ris_walls == wall.id]]
+            assert uvs == sorted(uvs, key=lambda t: (t[1], t[0]))
 
     def test_antenna_grid_spacing(self):
         scene = build_scene(SceneParams(rx_spacing=0.07), d_r=0.5, m_side=3)
@@ -68,6 +76,45 @@ class TestSceneParams:
         np.testing.assert_allclose(scene.tx, (1, 1, 1))
         center = np.mean(scene.rx.antennas, axis=0)
         np.testing.assert_allclose(center, (7, 2, 1), atol=1e-12)
+
+    def test_ris_unit_bound(self, monkeypatch):
+        monkeypatch.setattr(experiment, "MAX_RIS_UNITS", 1000)
+        with pytest.raises(SceneError, match="more than 1000"):
+            build_scene(SceneParams(), d_r=0.15, m_side=2)
+
+    @pytest.mark.parametrize("d_r", [0.001, 1e-320])
+    def test_tiny_unit_faults_before_tiling(self, d_r):
+        with pytest.raises(SceneError, match="RIS units of side"):
+            build_scene(SceneParams(), d_r=d_r, m_side=2)
+
+    def test_fine_tiling_within_bound(self):
+        assert len(build_scene(SceneParams(), d_r=0.02, m_side=1).ris_centers) == 380_790
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestAgainstScalarLoops:
+    @pytest.mark.parametrize("margin", [0.0, 0.1])
+    @pytest.mark.parametrize("d_r", ExperimentConfig().d_r_values)
+    def test_tiling(self, d_r, margin):
+        scene = build_scene(SceneParams(ris_margin=margin), d_r, 1)
+        tiled = scene.walls[:9]
+        expected = [tile_wall_loop(w, d_r, margin, scene.openings) for w in tiled]
+        for wall, want in zip(tiled, expected):
+            assert_same_bits(tile_wall(wall, d_r, margin, scene.openings), want)
+        assert_same_bits(scene.ris_centers, np.concatenate(expected))
+        assert list(scene.ris_walls) == [w.id for w, want in zip(tiled, expected)
+                                         for _ in want]
+
+    @pytest.mark.parametrize("m_side", [1, 4, 10, 64])
+    def test_antenna_grid(self, m_side):
+        for center, spacing in (((8.5, 0.8, 0.8), 0.05), ((7.0, 2.5, 1.5), 0.03)):
+            params = SceneParams(rx_position=center, rx_spacing=spacing)
+            want = antenna_grid_loop(center, m_side, spacing)
+            assert_same_bits(build_scene(params, 0.5, m_side).rx.antennas, want)
 
 
 class TestConfigValidation:

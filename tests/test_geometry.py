@@ -172,7 +172,7 @@ class TestTileWall:
         assert len(tile_wall(self.wall_4x3(), 0.5)) == 48
 
     def test_too_small_wall(self):
-        assert tile_wall(self.wall_4x3(), 5.0) == []
+        assert tile_wall(self.wall_4x3(), 5.0).shape == (0, 3)
 
     def test_margin(self):
         # 4x3 wall, margin 0.5 -> usable 3x2 -> 3x2 units of 1.0
@@ -200,7 +200,7 @@ class TestTileWall:
         wall = self.wall_4x3()
         for d_r in (0.3, 0.7, 1.1):
             units = tile_wall(wall, d_r)
-            uvs = [wall.local_uv(r.center) for r in units]
+            uvs = [wall.local_uv(c) for c in units]
             h = d_r / 2
             for u, v in uvs:
                 assert abs(u) + h <= wall.u_extent + 1e-9
@@ -213,8 +213,8 @@ class TestTileWall:
 
     def test_ids_row_major(self):
         units = tile_wall(self.wall_4x3(), 1.0)
-        assert [r.id for r in units] == list(range(12))
-        uvs = [self.wall_4x3().local_uv(r.center) for r in units]
+        assert units.shape == (12, 3)
+        uvs = [self.wall_4x3().local_uv(c) for c in units]
         # v ascends in the outer loop, u in the inner
         assert uvs == sorted(uvs, key=lambda t: (t[1], t[0]))
 
@@ -224,7 +224,7 @@ class TestTileWall:
 def test_tile_wall_never_exceeds_extents(d_r, margin):
     wall = WallPlane(id=0, p0=(0, 0, 0), n=(0, 0, 1.0), u_axis=(1.0, 0, 0),
                      v_axis=(0, 1.0, 0), u_extent=1.7, v_extent=1.2)
-    for r in tile_wall(wall, d_r, margin=margin):
-        u, v = wall.local_uv(r.center)
+    for c in tile_wall(wall, d_r, margin=margin):
+        u, v = wall.local_uv(c)
         assert abs(u) + d_r / 2 <= wall.u_extent - margin + 1e-9
         assert abs(v) + d_r / 2 <= wall.v_extent - margin + 1e-9

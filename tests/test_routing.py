@@ -1,15 +1,12 @@
-import itertools
-
 import numpy as np
 import pytest
 
-from pwesim.geometry import AntennaArray, Aperture, WallPlane, tile_wall, unit
-from pwesim.routing import (NO_CANDIDATE, NO_HIT, WavefrontSpec,
-                            deviation_angle, get_routes)
+from pwesim.geometry import AntennaArray, Aperture, WallPlane, unit
+from pwesim.routing import NO_HIT, WavefrontSpec, deviation_angle, get_routes
 from pwesim.scene import Scene, bfs_shortest_path, build_graph
 
-from conftest import box_walls, ris_on_wall, single_antenna_array
-from oracles import segment_clear, select_last_ris
+from conftest import box_walls, ris_on_wall, single_antenna_array, tiled_ris
+from oracles import reference_get_routes, select_last_ris
 
 
 def grid_array(center, m_side, spacing=0.05):
@@ -27,11 +24,8 @@ def grid_array(center, m_side, spacing=0.05):
 def tiled_box_scene(m_side=2, d_r=0.5):
     """Box room with RIS tiled on the ceiling and the y=4 wall."""
     walls = box_walls((5, 4, 3))
-    ris = []
-    for w in (walls[1], walls[3]):
-        ris.extend(tile_wall(w, d_r, id_start=len(ris)))
     rx = grid_array((2.5, 1.0, 1.2), m_side)
-    return Scene(walls=walls, openings=[], ris_units=ris,
+    return Scene(walls=walls, openings=[], **tiled_ris((walls[1], walls[3]), d_r),
                  tx=(1.0, 3.0, 1.5), rx=rx)
 
 
@@ -50,10 +44,8 @@ def three_room_scene(m_side=2, d_r=0.5):
                          u_half=0.3, v_half=1.0),
                 Aperture(wall_id=7, u_center=0.9, v_center=-0.25,
                          u_half=0.3, v_half=1.0)]
-    ris = []
-    for w in (walls[4], walls[6], walls[7], walls[5]):
-        ris.extend(tile_wall(w, d_r, openings=openings, id_start=len(ris)))
-    return Scene(walls=walls, openings=openings, ris_units=ris,
+    ris = tiled_ris((walls[4], walls[6], walls[7], walls[5]), d_r, openings)
+    return Scene(walls=walls, openings=openings, **ris,
                  tx=(0.5, 2.5, 1.25), rx=grid_array((7.5, 1.5, 1.2), m_side))
 
 
@@ -92,12 +84,12 @@ class TestGetRoutes:
     def test_zero_deviation_witness(self):
         # aim exactly at the only RIS center: realized == desired
         walls = box_walls((4, 4, 3))
-        ris = [ris_on_wall(0, walls[1], 0.5, -0.5)]
+        ris = [ris_on_wall(walls[1], 0.5, -0.5)]
         rx = single_antenna_array((1.0, 1.0, 1.0))
-        scene = Scene(walls=walls, openings=[], ris_units=ris,
+        scene = Scene(walls=walls, openings=[], ris_centers=ris, ris_walls=[walls[1].id],
                       tx=(3.0, 3.0, 1.0), rx=rx)
         graph = build_graph(scene)
-        doa = unit(ris[0].center - np.asarray(rx.antennas[0]))
+        doa = unit(ris[0] - np.asarray(rx.antennas[0]))
         routes = get_routes(scene, graph, WavefrontSpec(doas=(doa,)))
         assert not routes.failures
         assert routes.routes[0].phi_deg <= 1e-6
@@ -121,8 +113,8 @@ class TestGetRoutes:
                          u_extent=3.0, v_extent=1.5)
         door = Aperture(wall_id=0, u_center=0.0, v_center=0.0,
                         u_half=0.5, v_half=0.5)
-        ris = [ris_on_wall(0, wall, 2.0, 0.5)]
-        scene = Scene(walls=[wall], openings=[door], ris_units=ris,
+        scene = Scene(walls=[wall], openings=[door],
+                      ris_centers=[ris_on_wall(wall, 2.0, 0.5)], ris_walls=[wall.id],
                       tx=(0.0, 1.0, 1.5),
                       rx=single_antenna_array((0.0, 0.0, 1.5), (0, 1.0, 0)))
         graph = build_graph(scene)
@@ -147,9 +139,9 @@ class TestGetRoutes:
         for i, (ant, doa) in enumerate(zip(scene.rx.antennas, doas)):
             d = (3.0 - ant[2]) / doa[2]
             hits[i] = np.asarray(ant) + d * doa
-        ranked = sorted(scene.ris_units,
-                        key=lambda r: (np.linalg.norm(r.center - hits[1]), r.id))
-        ranked = [r.id for r in ranked if r.id != chosen[0]]
+        ranked = sorted(range(len(scene.ris_centers)),
+                        key=lambda j: (np.linalg.norm(scene.ris_centers[j] - hits[1]), j))
+        ranked = [j for j in ranked if j != chosen[0]]
         assert chosen[1] == ranked[0]
 
     def test_exclusivity_random(self, rng):
@@ -191,95 +183,6 @@ class TestGetRoutes:
         fresh = key(get_routes(scene, build_graph(scene), spec))
         for _ in range(3):
             assert key(get_routes(scene, graph, spec)) == fresh
-
-
-# ---------------------------------------------------------------------------
-# independent reference implementation of the routing algorithm, written
-# against the textual rules only (first-hit wall scan, nearest unclaimed
-# LoS unit with smallest-id tie break, minimum-hop path with ascending
-# neighbor expansion and antennas excluded)
-# ---------------------------------------------------------------------------
-
-def _ref_hit_point(ant, doa, walls, openings):
-    ant = np.asarray(ant, dtype=float)
-    for wall in sorted(walls, key=lambda w: w.id):
-        denom = float(np.dot(doa, wall.n))
-        if abs(denom) < 1e-12:
-            continue
-        d = float(np.dot(wall.p0 - ant, wall.n)) / denom
-        if d <= 0:
-            continue
-        p = ant + d * doa
-        u = float(np.dot(p - wall.p0, wall.u_axis))
-        v = float(np.dot(p - wall.p0, wall.v_axis))
-        if abs(u) > wall.u_extent + 1e-9 or abs(v) > wall.v_extent + 1e-9:
-            continue
-        if any(o.wall_id == wall.id and o.contains_uv(u, v) for o in openings):
-            continue
-        return p
-    return None
-
-
-def _ref_bfs(adj, source, target, banned):
-    from collections import deque
-    parent = {source: None}
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        for v in sorted(adj[u]):
-            if v in parent or v in banned:
-                continue
-            parent[v] = u
-            if v == target:
-                path = [v]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
-                return path[::-1]
-            q.append(v)
-    return None
-
-
-def _ref_routes(scene):
-    """(last_ris_id | reason, path, phi) per antenna, straight from the rules."""
-    units = sorted(scene.ris_units, key=lambda r: r.id)
-    n_v = 1 + len(units) + scene.rx.m
-    pos = [np.asarray(scene.tx, float)]
-    pos += [np.asarray(r.center, float) for r in units]
-    pos += [np.asarray(a, float) for a in scene.rx.antennas]
-    adj = {i: set() for i in range(n_v)}
-    for i, j in itertools.combinations(range(n_v), 2):
-        if segment_clear(pos[i], pos[j], scene.walls, scene.openings):
-            adj[i].add(j)
-            adj[j].add(i)
-    banned = set(range(1 + len(units), n_v))
-    return units, pos, adj, banned
-
-
-def reference_get_routes(scene, spec):
-    units, pos, adj, banned = _ref_routes(scene)
-    vert_of = {r.id: 1 + k for k, r in enumerate(units)}
-    used = set()
-    out = []
-    for i, ant in enumerate(scene.rx.antennas):
-        ant = np.asarray(ant, float)
-        point = _ref_hit_point(ant, spec.doas[i], scene.walls, scene.openings)
-        if point is None:
-            out.append((NO_HIT, None, None))
-            continue
-        ant_v = 1 + len(units) + i
-        cand = [r for r in units
-                if r.id not in used and vert_of[r.id] in adj[ant_v]]
-        if not cand:
-            out.append((NO_CANDIDATE, None, None))
-            continue
-        best = min(cand, key=lambda r: (float(np.linalg.norm(r.center - point)), r.id))
-        used.add(best.id)
-        path = _ref_bfs(adj, vert_of[best.id], 0, banned)
-        if path is not None:
-            path = path[::-1]
-        phi = deviation_angle(spec.doas[i], unit(best.center - ant))
-        out.append((best.id, None if path is None else tuple(path), phi))
-    return out
 
 
 class TestAgainstReference:
@@ -340,15 +243,13 @@ class TestRotationInvariance:
                              u_axis=R @ w.u_axis, v_axis=R @ w.v_axis,
                              u_extent=w.u_extent, v_extent=w.v_extent)
 
-        from pwesim.geometry import RisUnit
-        ris = [RisUnit(id=r.id, wall_id=r.wall_id, center=R @ r.center,
-                       side=r.side)
-               for r in scene.ris_units]
+        ris = [R @ c for c in scene.ris_centers]
         rx = AntennaArray(antennas=tuple(R @ np.asarray(a) for a in scene.rx.antennas),
                           rows=scene.rx.rows, cols=scene.rx.cols,
                           boresight=R @ np.asarray(scene.rx.boresight, float))
         return Scene(walls=[rw(w) for w in scene.walls], openings=list(scene.openings),
-                     ris_units=ris, tx=R @ np.asarray(scene.tx, float), rx=rx)
+                     ris_centers=ris, ris_walls=scene.ris_walls,
+                     tx=R @ np.asarray(scene.tx, float), rx=rx)
 
     def test_phi_invariant_under_rotation(self, rng):
         # a rigid rotation of everything (scene + desired DoAs) must leave
@@ -376,14 +277,15 @@ class TestRotationInvariance:
 class TestSelectLastRis:
     def test_nearest_and_tie_break(self):
         walls = box_walls((4, 4, 3))
-        ris = [ris_on_wall(0, walls[1], -1.0, 0.0),
-               ris_on_wall(1, walls[1], 1.0, 0.0)]
-        scene = Scene(walls=walls, openings=[], ris_units=ris,
+        ris = [ris_on_wall(walls[1], -1.0, 0.0),
+               ris_on_wall(walls[1], 1.0, 0.0)]
+        scene = Scene(walls=walls, openings=[], ris_centers=ris,
+                      ris_walls=[walls[1].id] * 2,
                       tx=(2.0, 2.0, 1.0),
                       rx=single_antenna_array((2.0, 2.0, 1.5)))
         graph = build_graph(scene)
         # equidistant point: tie goes to id 0
-        assert select_last_ris(np.array([2.0, 2.0, 3.0]), ris, 0, graph).id == 0
+        assert select_last_ris(np.array([2.0, 2.0, 3.0]), [0, 1], 0, graph) == 0
         near1 = np.array([3.0, 2.0, 3.0])
-        assert select_last_ris(near1, ris, 0, graph).id == 1
+        assert select_last_ris(near1, [0, 1], 0, graph) == 1
         assert select_last_ris(near1, [], 0, graph) is None

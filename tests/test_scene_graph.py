@@ -14,8 +14,8 @@ from oracles import SimpleGraph, segment_clear
 
 def one_room_scene():
     walls = box_walls((4, 4, 3))
-    ris = [ris_on_wall(0, walls[1], 0.0, 0.0)]   # ceiling center
-    return Scene(walls=walls, openings=[], ris_units=ris,
+    ris = [ris_on_wall(walls[1], 0.0, 0.0)]   # ceiling center
+    return Scene(walls=walls, openings=[], ris_centers=ris, ris_walls=[walls[1].id],
                  tx=(1.0, 1.0, 1.0), rx=single_antenna_array((3.0, 3.0, 1.0)))
 
 
@@ -28,12 +28,13 @@ def two_room_scene(with_door):
     openings = ([Aperture(wall_id=6, u_center=0.0, v_center=-0.2,
                           u_half=0.6, v_half=1.1)] if with_door else [])
     ris = [
-        ris_on_wall(0, walls[4], -1.0, 0.0),   # x=0 wall (room 1)
-        ris_on_wall(1, walls[4], 1.0, 0.0),
-        ris_on_wall(2, divider, -1.0, 0.0),    # divider
-        ris_on_wall(3, walls[5], 0.0, 0.0),    # x=8 wall (room 2)
+        (walls[4], -1.0, 0.0),   # x=0 wall (room 1)
+        (walls[4], 1.0, 0.0),
+        (divider, -1.0, 0.0),    # divider
+        (walls[5], 0.0, 0.0),    # x=8 wall (room 2)
     ]
-    return Scene(walls=walls, openings=openings, ris_units=ris,
+    return Scene(walls=walls, openings=openings,
+                 ris_centers=[ris_on_wall(*r) for r in ris], ris_walls=[r[0].id for r in ris],
                  tx=(1.0, 2.0, 1.5), rx=single_antenna_array((7.0, 2.0, 1.5)))
 
 
@@ -52,8 +53,8 @@ class TestBuildGraph:
     def test_vertex_ordering(self):
         g = build_graph(two_room_scene(with_door=True))
         scene = g.scene
-        assert g.ris_ids == [0, 1, 2, 3]
-        expected = [scene.tx] + [r.center for r in scene.ris_units] + [scene.rx.antennas[0]]
+        assert [g.ris_vertex(j) for j in range(4)] == [1, 2, 3, 4]
+        expected = [scene.tx, *scene.ris_centers, scene.rx.antennas[0]]
         np.testing.assert_array_equal(g.positions, expected)
         assert list(g.antenna_vertices) == [5]
 
@@ -87,7 +88,7 @@ class TestBuildGraph:
     def test_determinism(self):
         g1 = build_graph(two_room_scene(with_door=True))
         g2 = build_graph(two_room_scene(with_door=True))
-        assert g1.ris_ids == g2.ris_ids
+        assert g1.n_ris == g2.n_ris
         np.testing.assert_array_equal(g1.positions, g2.positions)
         assert edges(g1) == edges(g2)
 
@@ -95,17 +96,45 @@ class TestBuildGraph:
         scene = two_room_scene(with_door=False)
         # keep only room-2 RIS: the transmitter cannot see it
         scene = Scene(walls=scene.walls, openings=scene.openings,
-                      ris_units=[r for r in scene.ris_units if r.id == 3],
+                      ris_centers=scene.ris_centers[3:], ris_walls=scene.ris_walls[3:],
                       tx=scene.tx, rx=scene.rx)
         with pytest.raises(SceneError):
             build_graph(scene)
 
     def test_fault_without_ris(self):
         scene = one_room_scene()
-        scene = Scene(walls=scene.walls, openings=[], ris_units=[],
+        scene = Scene(walls=scene.walls, openings=[], ris_centers=np.empty((0, 3)),
+                      ris_walls=[],
                       tx=scene.tx, rx=scene.rx)
         with pytest.raises(SceneError):
             build_graph(scene)
+
+
+class TestSceneChecks:
+    def test_off_wall_center(self):
+        scene = one_room_scene()
+        with pytest.raises(SceneError, match="RIS 0 center is off"):
+            replace(scene, ris_centers=scene.ris_centers + (0.0, 0.0, -0.1))
+
+    def test_unknown_host_wall(self):
+        scene = one_room_scene()
+        with pytest.raises(SceneError, match="RIS 0 names no wall"):
+            replace(scene, ris_walls=[99])
+
+    def test_length_mismatch(self):
+        scene = one_room_scene()
+        with pytest.raises(SceneError, match="one ris_walls entry per row"):
+            replace(scene, ris_walls=[1, 1])
+
+    def test_ris_arrays_read_only_copies(self):
+        # the graph copies the centers once; the scene must not drift from it
+        centers = one_room_scene().ris_centers.copy()
+        scene = replace(one_room_scene(), ris_centers=centers)
+        centers[0, 2] += 0.1
+        assert scene.ris_centers[0, 2] != centers[0, 2]
+        for a in (scene.ris_centers, scene.ris_walls):
+            with pytest.raises(ValueError):
+                a[0] = 0
 
 
 class TestBfs:
@@ -204,8 +233,9 @@ class TestMinHopPath:
     def test_unreachable_is_none(self):
         # no doorway and no divider unit: the room-2 unit is cut off
         scene = two_room_scene(with_door=False)
-        g = build_graph(replace(scene, ris_units=[r for r in scene.ris_units
-                                                  if r.id != 2]))
-        last = g.ris_vertex(3)
+        keep = [0, 1, 3]
+        g = build_graph(replace(scene, ris_centers=scene.ris_centers[keep],
+                                ris_walls=scene.ris_walls[keep]))
+        last = g.ris_vertex(2)
         assert bfs_shortest_path(g, last, g.tx_vertex, set(g.antenna_vertices)) is None
         assert g.min_hop_path(last) is None
