@@ -60,7 +60,8 @@ def parse_config_text(text):
             raise ConfigError(f"duplicate key '{key}'")
         try:
             parsed = json.loads(value.strip())
-        except ValueError:    # JSONDecodeError, or an int past 4300 digits
+        # JSONDecodeError, an int past 4300 digits, or lists nested too deep
+        except (ValueError, RecursionError):
             raise ConfigError(f"key '{key}': unparseable value {value.strip()!r}")
         raw[key] = parsed
     return raw
@@ -111,7 +112,7 @@ def load_config(path, seed_override=None):
         return config_from_raw({}, seed_override)
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}")
     return config_from_raw(parse_config_text(text), seed_override)
 
@@ -209,9 +210,14 @@ def cmd_sweep(args):
 def cmd_route(args):
     try:
         config = load_config(args.config, args.seed)
-        spec_raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         return _fail(exc, EXIT_BAD_CONFIG)
+    try:
+        spec_raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+    # ValueError: not UTF-8, not JSON, or an int past 4300 digits;
+    # RecursionError: lists nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
+        return _fail(f"cannot read spec: {exc}", EXIT_BAD_CONFIG)
     d_r = config.d_r_values[0]
     m_side = config.m_sides[0]
     try:
@@ -221,7 +227,7 @@ def cmd_route(args):
         return _fail(f"cell (d_r={d_r}, M={m_side}): {exc}", EXIT_SCENE_FAULT)
     try:
         doas = [np.asarray(v, dtype=float) for v in spec_raw]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):    # OverflowError: an int past the float range
         doas = []
     if (not isinstance(spec_raw, list) or len(doas) != scene.rx.m
             or any(v.shape != (3,) for v in doas)):
@@ -266,7 +272,7 @@ def cmd_fit(args):
             if reader.fieldnames is None or "phi_deg" not in reader.fieldnames:
                 return _fail("data file needs a phi_deg column", EXIT_BAD_CONFIG)
             samples = np.array([float(row["phi_deg"]) for row in reader])
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError, csv.Error) as exc:
         return _fail(exc, EXIT_BAD_CONFIG)
     if not samples.size or not np.all(np.isfinite(samples) & (samples >= 0)):
         return _fail("phi_deg values must be nonempty, finite and non-negative", EXIT_BAD_CONFIG)

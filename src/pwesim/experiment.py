@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import AntennaArray, Aperture, WallPlane, grid_shape, tile_wall
+from .geometry import (AntennaArray, Aperture, WallPlane, grid_shape, norm,
+                       tile_wall, trace_walls)
 from .routing import WavefrontSpec, get_routes
 from .scene import Scene, SceneError, build_graph
 from .statfit import (DegenerateDataError, DeviationDataset, fit_gamma_mle,
@@ -175,9 +176,38 @@ def sample_wavefront(scene, rng, hits=None):
     """Draw one desired unit DoA per antenna, uniform over the boresight
     hemisphere, rejecting directions whose traced ray misses every wall.
 
-    When `hits` is a list, each accepted direction's traced wall point is
-    appended to it, ready for get_routes(..., hits=hits).
+    All antennas draw at once: M normal 3-vectors from `rng`, normalized,
+    flipped onto the boresight hemisphere and traced in one `trace_walls`
+    call. If any draw has zero norm, lies on the boresight plane or misses
+    every wall, the rng is restored and the antennas draw one at a time,
+    redrawing until accepted; M draws of 3 take the same stream as one draw
+    of (M, 3), so both ways give the same DoAs.
+
+    When `hits` is a list, each accepted direction's traced
+    (wall point, wall id) is appended to it, ready for
+    get_routes(..., hits=hits).
     """
+    antennas = scene.rx.antennas
+    state = rng.bit_generator.state
+    v = rng.standard_normal((len(antennas), 3))
+    n = norm(v)
+    with np.errstate(invalid="ignore"):     # a zero draw becomes NaN, rejected below
+        v = v / n[:, None]
+    d = np.vecdot(v, scene.rx.boresight)
+    v = np.where((d < 0.0)[:, None], -v, v)
+    first, points = trace_walls(antennas, v, scene.wall_table)
+    if np.all((n != 0.0) & (d != 0.0) & (first >= 0)):
+        if hits is not None:
+            hits.extend(zip(points, scene.wall_table.ids[first].tolist()))
+        return WavefrontSpec(doas=v)
+    rng.bit_generator.state = state
+    return _sample_one_by_one(scene, rng, hits)
+
+
+def _sample_one_by_one(scene, rng, hits):
+    """`sample_wavefront`'s draws one antenna at a time, for a trial in
+    which some batched draw was rejected."""
+    # looked up at call time, so a wrapper installed on the module is seen
     from .geometry import ray_wall_point
 
     boresight = scene.rx.boresight
@@ -186,11 +216,11 @@ def sample_wavefront(scene, rng, hits=None):
         rejections = 0
         while True:
             v = rng.standard_normal(3)
-            norm = np.linalg.norm(v)
-            if norm == 0.0:
+            n = norm(v)
+            if n == 0.0:
                 continue
-            v = v / norm
-            d = float(np.dot(v, boresight))
+            v = v / n
+            d = np.vecdot(v, boresight)
             if d < 0.0:
                 v = -v
             elif d == 0.0:
@@ -205,7 +235,7 @@ def sample_wavefront(scene, rng, hits=None):
             if rejections >= MAX_REJECTIONS:
                 raise SceneError("wavefront sampling rejected 10^4 directions; "
                                  "scene geometry looks malformed")
-    return WavefrontSpec(doas=tuple(doas))
+    return WavefrontSpec(doas=doas)
 
 
 def run_cell(config, d_r, m_side):

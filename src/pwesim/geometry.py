@@ -1,8 +1,18 @@
 """3-D primitives for indoor ray geometry.
 
-Vectors are plain numpy arrays of shape (3,), lengths in meters. Walls are
-bounded rectangles described by a point, a unit normal and two in-plane unit
-axes with half-extents. All predicates here are pure functions.
+Vectors are numpy arrays of shape (3,), or (N, 3) stacks of them, lengths in
+meters. Walls are bounded rectangles described by a point, a unit normal and
+two in-plane unit axes with half-extents. All predicates here are pure
+functions.
+
+There is one ray trace rule, `trace_walls`: a broadcast over (rays x walls)
+of the slab-style ray/plane test (Williams et al., "An Efficient and Robust
+Ray-Box Intersection Algorithm", JGT 2005) that keeps each ray's first wall
+in id order. `ray_wall_point` is its one-ray case. The trace, `norm`,
+`unit` and `is_unit` take every 3-vector dot product through `np.vecdot`,
+which rounds exactly as a scalar `np.dot` of the same two vectors (einsum,
+`@` and axis sums do not), so a batched result equals the one-vector result
+bit for bit.
 """
 
 from dataclasses import dataclass
@@ -16,17 +26,24 @@ ENDPOINT_EPS = 1e-9      # segment intersections this close to an endpoint are i
 UNIT_TOL = 1e-9
 
 
+def norm(v):
+    """Euclidean length of a vector, or of each row of an (N, 3) array."""
+    return np.sqrt(np.vecdot(v, v))
+
+
 def unit(v):
-    """Normalize v to unit length."""
+    """Normalize a vector, or each row of an (N, 3) array, to unit length."""
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n == 0.0:
+    n = norm(v)
+    if np.any(n == 0.0):
         raise ValueError("cannot normalize the zero vector")
-    return v / n
+    return v / np.expand_dims(n, -1)
 
 
 def is_unit(v, tol=UNIT_TOL):
-    return abs(np.linalg.norm(v) - 1.0) <= tol
+    """Whether a vector, or each row of an (N, 3) array, has unit length."""
+    with np.errstate(over="ignore", invalid="ignore"):    # inf and NaN are not unit
+        return np.abs(norm(v) - 1.0) <= tol
 
 
 @dataclass(frozen=True)
@@ -60,10 +77,6 @@ class WallPlane:
         d = np.asarray(p, dtype=float) - self.p0
         return float(np.dot(d, self.u_axis)), float(np.dot(d, self.v_axis))
 
-    def contains(self, p, slack=EXTENT_SLACK):
-        u, v = self.local_uv(p)
-        return abs(u) <= self.u_extent + slack and abs(v) <= self.v_extent + slack
-
 
 @dataclass(frozen=True)
 class Aperture:
@@ -74,10 +87,6 @@ class Aperture:
     v_center: float
     u_half: float
     v_half: float
-
-    def contains_uv(self, u, v, slack=EXTENT_SLACK):
-        return (abs(u - self.u_center) <= self.u_half + slack
-                and abs(v - self.v_center) <= self.v_half + slack)
 
     def overlaps_uv_rect(self, u_lo, u_hi, v_lo, v_hi):
         """Open-interval overlap test against a uv-aligned rectangle; takes
@@ -109,42 +118,63 @@ class AntennaArray:
         return self.rows * self.cols
 
 
-def ray_wall_scale(ant, doa, wall):
-    """Scaling factor d of the ray ant + d*doa at the wall plane.
+class WallTable:
+    """`walls` stacked into arrays for `trace_walls`; column k is walls[k].
 
-    Returns None when the ray is parallel to the plane or the intersection
-    lies behind the antenna (d <= 0).
+    Each opening keeps a boolean mask of the columns whose wall it pierces.
     """
-    denom = float(np.dot(doa, wall.n))
-    if abs(denom) < PARALLEL_EPS:
-        return None
-    d = float(np.dot(wall.p0 - ant, wall.n)) / denom
-    if d <= 0.0:
-        return None
-    return d
+
+    def __init__(self, walls, openings=()):
+        self.ids = np.array([w.id for w in walls], dtype=int)
+        self.n = np.array([w.n for w in walls], dtype=float).reshape(-1, 3)
+        self.p0 = np.array([w.p0 for w in walls], dtype=float).reshape(-1, 3)
+        self.u_axis = np.array([w.u_axis for w in walls], dtype=float).reshape(-1, 3)
+        self.v_axis = np.array([w.v_axis for w in walls], dtype=float).reshape(-1, 3)
+        self.u_limit = np.array([w.u_extent for w in walls], dtype=float) + EXTENT_SLACK
+        self.v_limit = np.array([w.v_extent for w in walls], dtype=float) + EXTENT_SLACK
+        self.openings = [(self.ids == op.wall_id, op) for op in openings]
+
+
+def trace_walls(points, dirs, table):
+    """First wall hit by each forward ray points[i] + d * dirs[i], d > 0.
+
+    points, dirs: (M, 3). Every ray meets every wall in one (M, W) pass;
+    of the walls a ray hits, the first in `table` column order counts, so
+    the columns must be ascending by id (`Scene` sorts its walls so). A ray
+    parallel to a wall's plane (|dir . n| < PARALLEL_EPS) never hits it. A
+    hit inside a declared opening is not wall membership (a doorway is a
+    hole, not wall), so the ray effectively continues into the next room.
+    Returns (first, hits): the (M,) column of each ray's first wall, -1 on
+    a miss, and the (M, 3) hit points, NaN on a miss.
+    """
+    points = np.asarray(points, dtype=float)[:, None, :]     # (M, 1, 3)
+    dirs = np.asarray(dirs, dtype=float)[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        denom = np.vecdot(dirs, table.n)                     # (M, W)
+        d = np.vecdot(table.p0 - points, table.n) / denom
+        p = points + d[..., None] * dirs                     # (M, W, 3)
+        u = np.vecdot(p - table.p0, table.u_axis)
+        v = np.vecdot(p - table.p0, table.v_axis)
+        hit = (~(np.abs(denom) < PARALLEL_EPS) & ~(d <= 0.0)
+               & (np.abs(u) <= table.u_limit) & (np.abs(v) <= table.v_limit))
+        for cols, op in table.openings:
+            hit[:, cols] &= ~((np.abs(u[:, cols] - op.u_center) <= op.u_half + EXTENT_SLACK)
+                              & (np.abs(v[:, cols] - op.v_center) <= op.v_half + EXTENT_SLACK))
+    if not hit.shape[1]:
+        return np.full(len(hit), -1), np.full((len(hit), 3), np.nan)
+    rows = np.arange(len(hit))
+    first = hit.argmax(axis=1)
+    found = hit[rows, first]
+    return np.where(found, first, -1), np.where(found[:, None], p[rows, first], np.nan)
 
 
 def ray_wall_point(ant, doa, walls, openings=()):
-    """First wall containing the forward ray intersection.
-
-    `walls` are scanned in the order given, which must be ascending by id
-    (`Scene` sorts its walls so). A hit inside a declared opening is not
-    wall membership (a doorway is a hole, not wall), so the scan moves on
-    and the ray effectively continues into the next room. Returns
-    (point, wall_id) or None when no wall contains a hit.
-    """
-    for wall in walls:
-        d = ray_wall_scale(ant, doa, wall)
-        if d is None:
-            continue
-        p = np.asarray(ant, dtype=float) + d * np.asarray(doa, dtype=float)
-        if not wall.contains(p):
-            continue
-        u, v = wall.local_uv(p)
-        if any(op.wall_id == wall.id and op.contains_uv(u, v) for op in openings):
-            continue
-        return p, wall.id
-    return None
+    """`trace_walls` for one ray over a list of walls: (point, wall_id) of
+    the first wall hit, or None on a miss."""
+    first, hits = trace_walls(np.reshape(ant, (1, 3)), np.reshape(doa, (1, 3)),
+                              WallTable(walls, openings))
+    k = int(first[0])
+    return None if k < 0 else (hits[0], walls[k].id)
 
 
 def segments_clear_batch(a, bs, walls, openings=()):

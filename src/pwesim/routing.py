@@ -6,13 +6,17 @@ traced ray ant + d*doa runs outward along the reversed arrival direction. The
 realized DoA is the unit vector from the antenna to the chosen RIS center,
 which puts both vectors in the same convention and makes the collinear case
 give exactly zero deviation.
+
+The claims run antenna by antenna, because a claimed RIS leaves the pool;
+the traces before them and the realized DoAs and angles after them are
+computed for all antennas of a spec at once.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import is_unit, ray_wall_point, unit
+from .geometry import is_unit, trace_walls, unit
 
 NO_HIT = "no_hit"              # desired ray exits the wall model
 NO_CANDIDATE = "no_candidate"  # no remaining RIS has LoS to the antenna
@@ -21,16 +25,19 @@ UNREACHABLE = "unreachable"    # no path from Tx to the chosen RIS
 
 @dataclass(frozen=True)
 class WavefrontSpec:
-    """One desired unit DoA per receiver antenna, in antenna order."""
+    """One desired unit DoA per receiver antenna, in antenna order; `doas`
+    is a read-only (M, 3) array, row i for antenna i."""
 
-    doas: tuple
+    doas: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "doas",
-                           tuple(np.asarray(d, dtype=float) for d in self.doas))
-        for d in self.doas:
-            if not is_unit(d, tol=1e-6):
-                raise ValueError("desired DoAs must be unit vectors")
+        doas = np.array(self.doas, dtype=float)
+        if doas.ndim != 2 or doas.shape[1] != 3:
+            raise ValueError("desired DoAs must be 3-vectors")
+        if not np.all(is_unit(doas, tol=1e-6)):
+            raise ValueError("desired DoAs must be unit vectors")
+        doas.setflags(write=False)
+        object.__setattr__(self, "doas", doas)
 
 
 @dataclass(frozen=True)
@@ -49,9 +56,9 @@ class RouteSet:
 
 
 def deviation_angle(desired, realized):
-    """Angle between two unit vectors, degrees in [0, 180]."""
-    c = float(np.clip(np.dot(desired, realized), -1.0, 1.0))
-    return float(np.degrees(np.arccos(c)))
+    """Angle between two unit vectors, degrees in [0, 180]; for two (N, 3)
+    arrays, the angle between each pair of rows."""
+    return np.degrees(np.arccos(np.clip(np.vecdot(desired, realized), -1.0, 1.0)))
 
 
 def nearest_ris(point, centers, available):
@@ -77,26 +84,28 @@ def get_routes(scene, graph, spec, hits=None):
     (the trials of one scene) search each lastRIS's path once.
 
     hits, when given, holds ray_wall_point(antenna, doa) per antenna, already
-    traced (as sample_wavefront does), so the rays are not traced again.
+    traced (as sample_wavefront does), so the rays are not traced again;
+    otherwise all antennas are traced in one `trace_walls` call.
     """
-    if len(spec.doas) != scene.rx.m:
+    antennas = scene.rx.antennas
+    if len(spec.doas) != len(antennas):
         raise ValueError("spec length must match antenna count")
     if hits is not None and len(hits) != len(spec.doas):
         raise ValueError("hits length must match antenna count")
+    if hits is None:
+        first, points = trace_walls(antennas, spec.doas, scene.wall_table)
+        hits = [None if k < 0 else (p, scene.walls[k].id)
+                for k, p in zip(first.tolist(), points)]
     n_ris = graph.n_ris
     centers = scene.ris_centers
     free = np.ones(n_ris, dtype=bool)
-    routes = []
+    routed, rows, paths = [], [], []    # antenna, claimed RIS row, Tx path
     failures = []
-    for i, ant in enumerate(scene.rx.antennas):
-        doa = spec.doas[i]
-        hit = (hits[i] if hits is not None
-               else ray_wall_point(ant, doa, scene.walls, scene.openings))
+    for i, hit in enumerate(hits):
         if hit is None:
             failures.append((i, NO_HIT))
             continue
-        point, _wall_id = hit
-        j = nearest_ris(point, centers,
+        j = nearest_ris(hit[0], centers,
                         free & graph.row(graph.antenna_vertex(i))[1:1 + n_ris])
         if j is None:
             failures.append((i, NO_CANDIDATE))
@@ -106,8 +115,12 @@ def get_routes(scene, graph, spec, hits=None):
         if path is None:
             failures.append((i, UNREACHABLE))
             continue
-        realized = unit(centers[j] - ant)
-        routes.append(Route(antenna_index=i, last_ris_id=j,
-                            path=path, realized_doa=realized,
-                            phi_deg=deviation_angle(doa, realized)))
-    return RouteSet(routes=tuple(routes), failures=tuple(failures))
+        routed.append(i)
+        rows.append(j)
+        paths.append(path)
+    realized = unit(centers[rows] - antennas[routed])
+    phis = deviation_angle(spec.doas[routed], realized).tolist()
+    routes = tuple(Route(antenna_index=i, last_ris_id=j, path=path,
+                         realized_doa=r, phi_deg=phi)
+                   for i, j, path, r, phi in zip(routed, rows, paths, realized, phis))
+    return RouteSet(routes=routes, failures=tuple(failures))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AntennaArray, segments_clear_batch
+from .geometry import AntennaArray, WallTable, segments_clear_batch
 
 
 # Tx-visible RIS tested per segments_clear_batch call when looking for the
@@ -44,8 +44,9 @@ class Scene:
 
     def __post_init__(self):
         self.tx = np.asarray(self.tx, dtype=float)
-        # ray_wall_point scans walls in the order given: ascending id
+        # trace_walls keeps the first wall hit in column order: ascending id
         self.walls = sorted(self.walls, key=lambda w: w.id)
+        self.wall_table = WallTable(self.walls, self.openings)
         self.ris_centers = np.array(self.ris_centers, dtype=float)
         self.ris_walls = np.array(self.ris_walls, dtype=int)
         self.ris_centers.setflags(write=False)

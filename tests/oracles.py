@@ -7,6 +7,12 @@
   the same `nearest_ris` rule that `get_routes` applies.
 - `tile_wall_loop` and `antenna_grid_loop`: one unit or antenna per loop
   step, the scalar forms of `tile_wall` and `build_scene`'s antenna grid.
+- `ray_wall_scale` and `_ref_hit_point`: the scalar ray/plane scale and the
+  first-hit wall scan, one wall at a time, behind `trace_walls`.
+- `sample_wavefront_loop`: `sample_wavefront` one antenna at a time, each
+  redrawing until its traced ray hits a wall.
+- `scalar_deviation`: one route's realized DoA and deviation angle with
+  scalar norm and dot, the per-antenna form of `get_routes`' angle step.
 - `reference_get_routes`: the routing algorithm written against its textual
   rules only (first-hit wall scan, nearest unclaimed LoS unit with
   smallest-id tie break, minimum-hop path with ascending neighbor expansion
@@ -18,7 +24,8 @@ from collections import deque
 
 import numpy as np
 
-from pwesim.geometry import ENDPOINT_EPS, PARALLEL_EPS, unit
+from pwesim.experiment import MAX_REJECTIONS
+from pwesim.geometry import ENDPOINT_EPS, EXTENT_SLACK, PARALLEL_EPS, unit
 from pwesim.routing import NO_CANDIDATE, NO_HIT, deviation_angle, nearest_ris
 
 
@@ -43,13 +50,25 @@ def segment_clear(a, b, walls, openings=()):
         if t * length < ENDPOINT_EPS or (1.0 - t) * length < ENDPOINT_EPS:
             continue
         p = a + t * ab
-        if not wall.contains(p):
-            continue
         u, v = wall.local_uv(p)
-        if any(op.wall_id == wall.id and op.contains_uv(u, v) for op in openings):
+        if not _on_wall(wall, u, v) or _in_opening(wall, u, v, openings):
             continue
         return False
     return True
+
+
+def _on_wall(wall, u, v):
+    """Whether wall coordinates (u, v) lie on the wall rectangle, edges
+    included within EXTENT_SLACK."""
+    return abs(u) <= wall.u_extent + EXTENT_SLACK and abs(v) <= wall.v_extent + EXTENT_SLACK
+
+
+def _in_opening(wall, u, v, openings):
+    """Whether wall coordinates (u, v) lie in an opening declared on `wall`,
+    edges included within EXTENT_SLACK."""
+    return any(op.wall_id == wall.id
+               and abs(u - op.u_center) <= op.u_half + EXTENT_SLACK
+               and abs(v - op.v_center) <= op.v_half + EXTENT_SLACK for op in openings)
 
 
 class SimpleGraph:
@@ -122,24 +141,72 @@ def antenna_grid_loop(center, m_side, spacing):
     return np.array(antennas)
 
 
+def ray_wall_scale(ant, doa, wall):
+    """Scaling factor d of the ray ant + d*doa at the wall plane.
+
+    Returns None when the ray is parallel to the plane or the intersection
+    lies behind the antenna (d <= 0).
+    """
+    denom = float(np.dot(doa, wall.n))
+    if abs(denom) < PARALLEL_EPS:
+        return None
+    d = float(np.dot(wall.p0 - ant, wall.n)) / denom
+    if d <= 0.0:
+        return None
+    return d
+
+
 def _ref_hit_point(ant, doa, walls, openings):
+    """(point, wall id) of the first wall, by id, that the forward ray hits
+    outside an opening, or None."""
     ant = np.asarray(ant, dtype=float)
+    doa = np.asarray(doa, dtype=float)
     for wall in sorted(walls, key=lambda w: w.id):
-        denom = float(np.dot(doa, wall.n))
-        if abs(denom) < 1e-12:
-            continue
-        d = float(np.dot(wall.p0 - ant, wall.n)) / denom
-        if d <= 0:
+        d = ray_wall_scale(ant, doa, wall)
+        if d is None:
             continue
         p = ant + d * doa
         u = float(np.dot(p - wall.p0, wall.u_axis))
         v = float(np.dot(p - wall.p0, wall.v_axis))
-        if abs(u) > wall.u_extent + 1e-9 or abs(v) > wall.v_extent + 1e-9:
+        if not _on_wall(wall, u, v) or _in_opening(wall, u, v, openings):
             continue
-        if any(o.wall_id == wall.id and o.contains_uv(u, v) for o in openings):
-            continue
-        return p
+        return p, wall.id
     return None
+
+
+def sample_wavefront_loop(scene, rng):
+    """(doas, hits) as `sample_wavefront` draws them, one antenna at a time
+    with scalar norms and dots: each antenna redraws until its direction,
+    flipped onto the boresight hemisphere, traces to a wall."""
+    doas, hits = [], []
+    for ant in scene.rx.antennas:
+        for _ in range(MAX_REJECTIONS):
+            v = rng.standard_normal(3)
+            norm = np.linalg.norm(v)
+            if norm == 0.0:
+                continue
+            v = v / norm
+            d = float(np.dot(v, scene.rx.boresight))
+            if d < 0.0:
+                v = -v
+            elif d == 0.0:
+                continue
+            hit = _ref_hit_point(ant, v, scene.walls, scene.openings)
+            if hit is not None:
+                doas.append(v)
+                hits.append(hit)
+                break
+        else:
+            raise AssertionError("no direction traced to a wall")
+    return doas, hits
+
+
+def scalar_deviation(doa, ant, center):
+    """(realized DoA, phi in degrees) of the antenna at `ant` served by the
+    RIS at `center`, one vector at a time."""
+    realized = (center - ant) / np.linalg.norm(center - ant)
+    c = float(np.clip(np.dot(doa, realized), -1.0, 1.0))
+    return realized, float(np.degrees(np.arccos(c)))
 
 
 def _ref_bfs(adj, source, target, banned):
@@ -185,10 +252,11 @@ def reference_get_routes(scene, spec):
     out = []
     for i, ant in enumerate(scene.rx.antennas):
         ant = np.asarray(ant, float)
-        point = _ref_hit_point(ant, spec.doas[i], scene.walls, scene.openings)
-        if point is None:
+        hit = _ref_hit_point(ant, spec.doas[i], scene.walls, scene.openings)
+        if hit is None:
             out.append((NO_HIT, None, None))
             continue
+        point = hit[0]
         ant_v = 1 + n_ris + i
         cand = [j for j in range(n_ris) if j not in used and 1 + j in adj[ant_v]]
         if not cand:

@@ -1,6 +1,11 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+import warnings
 from concurrent.futures import Future
+from pathlib import Path
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -151,6 +156,21 @@ class TestConfigBoundary:
         assert main([command, "--config", str(cfg), "--out", str(out)] + extra) == 1
         assert_one_line_error(capsys, key)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "route"])
+    def test_config_not_utf8_exit_1(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(b"seed = \xff\n")
+        extra = ["--spec", str(write_config(tmp_path, "[]", "spec.json"))] \
+            if command == "route" else []
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+                    + extra) == 1
+        assert_one_line_error(capsys, "cannot read config")
+
+    def test_value_nested_too_deep_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "seed = " + "[" * 100_000 + "]" * 100_000 + "\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert_one_line_error(capsys, "seed")
 
     def test_negative_seed_flag_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -423,6 +443,33 @@ class TestRouteCommand:
                      "--out", str(tmp_path / "r.json")]) == 2
         assert_one_line_error(capsys, "non-unit")
 
+    def _route_exit(self, tmp_path, spec_bytes):
+        cfg = write_config(tmp_path)
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(spec_bytes)
+        return main(["route", "--config", str(cfg), "--spec", str(spec),
+                     "--out", str(tmp_path / "r.json")])
+
+    def test_int_past_float_range_exit_1(self, tmp_path, capsys):
+        huge = "1" + "0" * 400
+        spec = "[" + ",".join([f"[-{huge}, 0, 0]"] + ["[-1.0, 0.0, 0.0]"] * 3) + "]"
+        assert self._route_exit(tmp_path, spec.encode()) == 1
+        assert_one_line_error(capsys, "DoA vectors")
+
+    def test_int_past_4300_digits_exit_1(self, tmp_path, capsys):
+        spec = "[[-1" + "0" * 5000 + ", 0, 0]]"
+        assert self._route_exit(tmp_path, spec.encode()) == 1
+        assert_one_line_error(capsys, "cannot read spec", "4300")
+
+    def test_spec_not_utf8_exit_1(self, tmp_path, capsys):
+        assert self._route_exit(tmp_path, b"\xff\xfe[[-1.0, 0.0, 0.0]]") == 1
+        assert_one_line_error(capsys, "cannot read spec", "utf-8")
+
+    def test_spec_nested_too_deep_exit_1(self, tmp_path, capsys):
+        spec = "[" * 100_000 + "]" * 100_000
+        assert self._route_exit(tmp_path, spec.encode()) == 1
+        assert_one_line_error(capsys, "cannot read spec", "recursion")
+
     @pytest.mark.parametrize("bad", [[-1.0, 0.0], "x"], ids=["two_components", "text"])
     def test_malformed_doa_exit_1(self, tmp_path, capsys, bad):
         cfg = write_config(tmp_path)
@@ -494,6 +541,14 @@ class TestFitCommand:
         assert_one_line_error(capsys, "--bins")
         assert not out.exists()
 
+    def test_field_past_csv_limit_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_text("phi_deg\n" + "1" * 200_000 + "\n2.0\n")
+        out = tmp_path / "f.json"
+        assert main(["fit", "--data", str(path), "--out", str(out)]) == 1
+        assert_one_line_error(capsys, "field limit")
+        assert not out.exists()
+
     def test_missing_column_exit_1(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("angle\n1.0\n")
@@ -515,3 +570,57 @@ class TestFitCommand:
                                                           rel=1e-9)
         assert payload["rayleigh"]["sigma_hat"] == \
                pytest.approx(float(row["sigma_hat"]), rel=1e-9)
+
+
+# JSON values of every kind, nested a few levels
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=4) | st.integers(-10**400, 10**400)
+    | st.floats(), lambda inner: st.lists(inner, max_size=5), max_leaves=20)
+# lists of unit DoAs, some of the right length for the tiny config's 4 antennas
+UNIT_DOA_LISTS = st.lists(st.sampled_from([[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0],
+                                           [-0.6, 0.8, 0.0], [0.6, 0.0, 0.8]]),
+                          min_size=3, max_size=5)
+CSV_CELLS = st.floats().map(repr) | st.integers(-10**30, 10**30).map(str) | st.text(max_size=6)
+CSV_TEXT = st.text(max_size=200) | st.tuples(
+    st.sampled_from(["phi_deg", "trial,phi_deg", "angle", ""]),
+    st.lists(st.lists(CSV_CELLS, min_size=1, max_size=3).map(",".join), max_size=30),
+).map(lambda parts: "\n".join([parts[0]] + parts[1]) + "\n")
+
+
+def run_cli(argv):
+    """(exit code, stderr) of one in-process run; a warning fails the run,
+    since it would print more lines on stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestFuzz:
+    """Arbitrary input files end in a documented exit code with at most one
+    stderr line; a traceback fails the test."""
+
+    @settings(max_examples=60, deadline=None)
+    @given((JSON_VALUES.map(json.dumps) | UNIT_DOA_LISTS.map(json.dumps)
+            | st.text(max_size=40)).map(str.encode) | st.binary(max_size=40))
+    def test_route_any_spec(self, spec_bytes):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cfg = write_config(tmp, "d_r_values = [0.5]\nm_sides = [2]\n")
+            spec = tmp / "spec.json"
+            spec.write_bytes(spec_bytes)
+            code, err = run_cli(["route", "--config", str(cfg), "--spec", str(spec),
+                                 "--out", str(tmp / "r.json")])
+        assert code in (0, 1, 2, 3)
+        assert len(err.splitlines()) <= 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(CSV_TEXT)
+    def test_fit_any_csv(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            data = Path(tmp) / "data.csv"
+            data.write_text(text, encoding="utf-8")
+            code, err = run_cli(["fit", "--data", str(data), "--out", str(Path(tmp) / "f.json")])
+        assert code in (0, 1, 2, 3)
+        assert len(err.splitlines()) <= 1

@@ -8,9 +8,9 @@ from pwesim.experiment import (ExperimentConfig, SceneParams, build_scene,
                                run_cell, run_sweep, sample_wavefront)
 from pwesim.geometry import tile_wall
 from pwesim.routing import get_routes
-from pwesim.scene import SceneError, build_graph
+from pwesim.scene import Scene, SceneError, build_graph
 
-from oracles import antenna_grid_loop, tile_wall_loop
+from oracles import antenna_grid_loop, sample_wavefront_loop, tile_wall_loop
 
 
 def tiny_config(**kw):
@@ -178,6 +178,32 @@ class TestSampleWavefront:
                     for r in reused.routes] == \
                    [(r.antenna_index, r.last_ris_id, r.path, r.phi_deg)
                     for r in traced.routes]
+
+    @pytest.mark.parametrize("dropped", [(), (4, 6)], ids=["default", "floor_and_far_wall_gone"])
+    def test_batched_matches_loop(self, monkeypatch, dropped):
+        # without the room-2 floor and the room-1 far wall, rays escape and
+        # the batched draw falls back to one antenna at a time
+        full = build_scene(SceneParams(), d_r=0.5, m_side=4)
+        keep = ~np.isin(full.ris_walls, dropped)
+        scene = Scene(walls=[w for w in full.walls if w.id not in dropped],
+                      openings=full.openings, ris_centers=full.ris_centers[keep],
+                      ris_walls=full.ris_walls[keep], tx=full.tx, rx=full.rx)
+        fallbacks = []
+        one_by_one = experiment._sample_one_by_one
+        monkeypatch.setattr(experiment, "_sample_one_by_one",
+                            lambda *args: fallbacks.append(1) or one_by_one(*args))
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            ref = np.random.default_rng(seed)
+            hits = []
+            spec = sample_wavefront(scene, rng, hits)
+            want_doas, want_hits = sample_wavefront_loop(scene, ref)
+            assert np.array_equal(spec.doas, np.array(want_doas))
+            assert [w for _p, w in hits] == [w for _p, w in want_hits]
+            assert np.array_equal(np.array([p for p, _w in hits]),
+                                  np.array([p for p, _w in want_hits]))
+            assert rng.bit_generator.state == ref.bit_generator.state
+        assert len(fallbacks) == (0 if not dropped else 100)
 
     def test_cosine_of_polar_angle_uniformity(self):
         # uniform on the hemisphere: cos(angle to boresight) ~ U(0, 1),

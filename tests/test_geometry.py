@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwesim.geometry import (Aperture, WallPlane, ray_wall_point,
-                             ray_wall_scale, segments_clear_batch, tile_wall, unit)
+from pwesim.experiment import SceneParams, build_scene
+from pwesim.geometry import (Aperture, WallPlane, WallTable, ray_wall_point,
+                             segments_clear_batch, tile_wall, trace_walls, unit)
 
 from conftest import box_walls
-from oracles import segment_clear
+from oracles import _ref_hit_point, ray_wall_scale, segment_clear
 
 
 def zwall(z, wid=0, u_extent=5.0, v_extent=5.0):
@@ -106,6 +107,82 @@ class TestRayWallPoint:
             assert abs(float(np.dot(p - wall.p0, wall.n))) <= 1e-9
             d = ray_wall_scale(ant, doa, wall)
             np.testing.assert_allclose(ant + d * doa, p, atol=1e-9)
+
+
+class TestTraceWalls:
+    """`trace_walls` equals the scalar first-hit scan bit for bit."""
+
+    scene = build_scene(SceneParams(), d_r=0.5, m_side=10)
+
+    def assert_like_scan(self, points, dirs, walls=scene.walls, openings=scene.openings):
+        """Trace the rays both ways; the walls hit, by id (None on a miss)."""
+        first, hits = trace_walls(points, dirs, WallTable(walls, openings))
+        assert first.shape == (len(points),) and hits.shape == (len(points), 3)
+        ids = []
+        for k, p, point, doa in zip(first, hits, points, dirs):
+            want = _ref_hit_point(point, doa, walls, openings)
+            if want is None:
+                assert k == -1 and np.isnan(p).all()
+                ids.append(None)
+            else:
+                assert walls[k].id == want[1]
+                assert np.array_equal(p, want[0]) and p.tobytes() == want[0].tobytes()
+                ids.append(want[1])
+        return ids
+
+    def test_random_rays_from_antennas(self, rng):
+        ants = self.scene.rx.antennas
+        for _ in range(20):
+            self.assert_like_scan(ants, unit(rng.normal(size=(len(ants), 3))))
+
+    def test_random_rays_in_rotated_rooms(self, rng):
+        # tilted walls: no dot product is exact in every summation order
+        R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        walls = [WallPlane(id=w.id, p0=R @ w.p0, n=R @ w.n, u_axis=R @ w.u_axis,
+                           v_axis=R @ w.v_axis, u_extent=w.u_extent, v_extent=w.v_extent)
+                 for w in self.scene.walls]
+        ants = self.scene.rx.antennas @ R.T
+        for _ in range(20):
+            ids = self.assert_like_scan(ants, unit(rng.normal(size=(len(ants), 3))),
+                                        walls, self.scene.openings)
+            assert None not in ids
+
+    def test_parallel_rays(self):
+        # each axis is parallel to the planes of two of the three wall families
+        ants = self.scene.rx.antennas[:6]
+        dirs = np.repeat(np.vstack([np.eye(3), -np.eye(3)]), len(ants), axis=0)
+        ids = self.assert_like_scan(np.tile(ants, (6, 1)), dirs)
+        assert None not in ids
+
+    def test_rays_pointing_away(self):
+        # every plane crossing lies behind the origin: no wall is hit
+        points = np.array([(12.0, 2.5, 1.5), (-2.0, 2.5, 1.5), (5.0, 2.5, 4.0),
+                           (5.0, -1.0, 1.5)])
+        dirs = np.array([(1.0, 0, 0), (-1.0, 0, 0), (0, 0, 1.0), unit((0.0, -1.0, -0.1))])
+        assert self.assert_like_scan(points, dirs) == [None] * 4
+
+    def test_rays_through_doorway(self, rng):
+        # into the doorway, its edges included: the ray continues into room 1
+        ant = self.scene.rx.antennas[0]
+        door = self.scene.openings[0]
+        divider = self.scene.walls[0]
+        uv = [(u, v) for u in (-door.u_half, 0.0, door.u_half)
+              for v in (-door.v_half, 0.0, door.v_half)]
+        uv += list(rng.uniform((-door.u_half, -door.v_half), (door.u_half, door.v_half),
+                               size=(20, 2)))
+        targets = np.array([divider.p0 + u * divider.u_axis + v * divider.v_axis
+                            for u, v in uv])
+        ids = self.assert_like_scan(np.tile(ant, (len(targets), 1)), unit(targets - ant))
+        assert all(i in (6, 7, 8, 9, 10) for i in ids)
+
+    def test_one_ray_form(self, rng):
+        walls = box_walls((4, 4, 3))
+        for _ in range(50):
+            ant = rng.uniform((0.5, 0.5, 0.5), (3.5, 3.5, 2.5))
+            doa = unit(rng.normal(size=3))
+            p, wid = ray_wall_point(ant, doa, walls)
+            want_p, want_id = _ref_hit_point(ant, doa, walls, ())
+            assert wid == want_id and np.array_equal(p, want_p)
 
 
 class TestSegmentClear:

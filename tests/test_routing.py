@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from pwesim.experiment import ExperimentConfig, build_scene, run_cell, sample_wavefront
 from pwesim.geometry import AntennaArray, Aperture, WallPlane, unit
 from pwesim.routing import NO_HIT, WavefrontSpec, deviation_angle, get_routes
 from pwesim.scene import Scene, bfs_shortest_path, build_graph
 
 from conftest import box_walls, ris_on_wall, single_antenna_array, tiled_ris
-from oracles import reference_get_routes, select_last_ris
+from oracles import reference_get_routes, scalar_deviation, select_last_ris
 
 
 def grid_array(center, m_side, spacing=0.05):
@@ -69,6 +70,32 @@ class TestDeviationAngle:
             a, b = unit(rng.normal(size=3)), unit(rng.normal(size=3))
             assert deviation_angle(a, b) == pytest.approx(deviation_angle(b, a))
             assert 0.0 <= deviation_angle(a, b) <= 180.0
+
+    def test_rows(self):
+        a = unit(np.array([(1.0, 0, 0), (0, 1.0, 0), (1.0, 1.0, 0)]))
+        b = unit(np.array([(1.0, 0, 0), (1.0, 0, 0), (0, 0, 1.0)]))
+        np.testing.assert_allclose(deviation_angle(a, b), [0.0, 90.0, 90.0], atol=1e-12)
+
+    def test_default_cell_matches_scalar(self):
+        # every route of the default (0.5, 4) cell, as run_cell draws them
+        config = ExperimentConfig()
+        d_idx, m_idx = config.d_r_values.index(0.5), config.m_sides.index(4)
+        scene = build_scene(config.scene, 0.5, 4)
+        graph = build_graph(scene)
+        streams = np.random.SeedSequence([config.seed, m_idx, d_idx]).spawn(config.n_trials)
+        phis = []
+        for ss in streams:
+            hits = []
+            spec = sample_wavefront(scene, np.random.Generator(np.random.PCG64(ss)), hits)
+            for r in get_routes(scene, graph, spec, hits=hits).routes:
+                i = r.antenna_index
+                realized, phi = scalar_deviation(spec.doas[i], scene.rx.antennas[i],
+                                                 scene.ris_centers[r.last_ris_id])
+                assert np.array_equal(r.realized_doa, realized)
+                assert type(r.phi_deg) is float and r.phi_deg == phi
+                phis.append(phi)
+        assert len(phis) == 1600
+        assert phis == [rec[2] for rec in run_cell(config, 0.5, 4).records]
 
 
 class TestWavefrontSpec:
