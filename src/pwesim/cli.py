@@ -20,12 +20,10 @@ import numpy as np
 
 from . import __version__
 from .experiment import (MAX_BINS, CellFitError, ExperimentConfig, SceneParams,
-                         WorkerLostError, build_scene, run_sweep)
+                         WorkerLostError, build_scene, fit_models, run_sweep)
 from .routing import WavefrontSpec, get_routes
 from .scene import SceneError, build_graph
-from .statfit import (DegenerateDataError, DeviationDataset, fit_gamma_mle,
-                      fit_rayleigh_mle, gamma_pdf, kld_empirical,
-                      make_histogram, rayleigh_pdf)
+from .statfit import DegenerateDataError, DeviationDataset, make_histogram
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
@@ -62,7 +60,10 @@ def parse_config_text(text):
             parsed = json.loads(value.strip())
         # JSONDecodeError, an int past 4300 digits, or lists nested too deep
         except (ValueError, RecursionError):
-            raise ConfigError(f"key '{key}': unparseable value {value.strip()!r}")
+            shown = repr(value.strip())
+            if len(shown) > 80:
+                shown = shown[:80] + " ... (cut)"
+            raise ConfigError(f"key '{key}': unparseable value {shown}")
         raw[key] = parsed
     return raw
 
@@ -225,15 +226,16 @@ def cmd_route(args):
         graph = build_graph(scene)
     except SceneError as exc:
         return _fail(f"cell (d_r={d_r}, M={m_side}): {exc}", EXIT_SCENE_FAULT)
+    shape_error = f"spec must list {scene.rx.m} DoA vectors [x, y, z] of numbers"
+    if not (isinstance(spec_raw, list) and len(spec_raw) == scene.rx.m
+            and all(isinstance(v, list) and len(v) == 3
+                    # JSON numbers only: a bool's type is bool, not int
+                    and all(type(c) in (int, float) for c in v) for v in spec_raw)):
+        return _fail(shape_error, EXIT_BAD_CONFIG)
     try:
-        doas = [np.asarray(v, dtype=float) for v in spec_raw]
-    except (TypeError, ValueError, OverflowError):    # OverflowError: an int past the float range
-        doas = []
-    if (not isinstance(spec_raw, list) or len(doas) != scene.rx.m
-            or any(v.shape != (3,) for v in doas)):
-        return _fail(f"spec must list {scene.rx.m} DoA vectors [x, y, z]", EXIT_BAD_CONFIG)
-    try:
-        spec = WavefrontSpec(doas=tuple(doas))
+        spec = WavefrontSpec(doas=spec_raw)
+    except OverflowError:    # an int past the float range
+        return _fail(shape_error, EXIT_BAD_CONFIG)
     except ValueError:    # a non-unit or NaN DoA
         return _fail("spec contains non-unit DoA vectors", EXIT_SCENE_FAULT)
     routes = get_routes(scene, graph, spec)
@@ -278,8 +280,7 @@ def cmd_fit(args):
         return _fail("phi_deg values must be nonempty, finite and non-negative", EXIT_BAD_CONFIG)
     data = DeviationDataset(samples=samples, d_r=float("nan"), m=0)
     try:
-        gamma = fit_gamma_mle(data)
-        rayleigh = fit_rayleigh_mle(data)
+        gamma, rayleigh, kld_gamma, kld_rayleigh = fit_models(data, args.bins)
     except (ValueError, DegenerateDataError) as exc:
         return _fail(exc, EXIT_BAD_CONFIG)
     payload = {
@@ -288,10 +289,8 @@ def cmd_fit(args):
                   "log_likelihood": gamma.log_likelihood},
         "rayleigh": {"sigma_hat": rayleigh.sigma_hat,
                      "log_likelihood": rayleigh.log_likelihood},
-        "kld_gamma": kld_empirical(
-            data, lambda x: gamma_pdf(x, gamma.k_hat, gamma.theta_hat), args.bins),
-        "kld_rayleigh": kld_empirical(
-            data, lambda x: rayleigh_pdf(x, rayleigh.sigma_hat), args.bins),
+        "kld_gamma": kld_gamma,
+        "kld_rayleigh": kld_rayleigh,
     }
     try:
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n",

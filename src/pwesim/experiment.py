@@ -176,65 +176,56 @@ def sample_wavefront(scene, rng, hits=None):
     """Draw one desired unit DoA per antenna, uniform over the boresight
     hemisphere, rejecting directions whose traced ray misses every wall.
 
-    All antennas draw at once: M normal 3-vectors from `rng`, normalized,
-    flipped onto the boresight hemisphere and traced in one `trace_walls`
-    call. If any draw has zero norm, lies on the boresight plane or misses
-    every wall, the rng is restored and the antennas draw one at a time,
-    redrawing until accepted; M draws of 3 take the same stream as one draw
-    of (M, 3), so both ways give the same DoAs.
+    The rule reads one stream of normal 3-vectors from `rng`: each antenna
+    in turn takes the next vector, normalizes it and flips it onto the
+    boresight hemisphere, and takes another while the vector is zero, lies
+    on the boresight plane or its ray misses every wall. The waiting
+    antennas go in passes, each tracing the next candidates of several
+    antennas in one `trace_walls` call and keeping the leading run of
+    accepted ones; the first rejected candidate is dropped, and those after
+    it move up one antenna, topped up by one fresh draw. M draws of 3 take
+    the same stream as one draw of (M, 3), so every candidate is the vector
+    the per-antenna rule reads.
 
     When `hits` is a list, each accepted direction's traced
     (wall point, wall id) is appended to it, ready for
     get_routes(..., hits=hits).
     """
     antennas = scene.rx.antennas
-    state = rng.bit_generator.state
-    v = rng.standard_normal((len(antennas), 3))
-    n = norm(v)
-    with np.errstate(invalid="ignore"):     # a zero draw becomes NaN, rejected below
-        v = v / n[:, None]
-    d = np.vecdot(v, scene.rx.boresight)
-    v = np.where((d < 0.0)[:, None], -v, v)
-    first, points = trace_walls(antennas, v, scene.wall_table)
-    if np.all((n != 0.0) & (d != 0.0) & (first >= 0)):
-        if hits is not None:
-            hits.extend(zip(points, scene.wall_table.ids[first].tolist()))
-        return WavefrontSpec(doas=v)
-    rng.bit_generator.state = state
-    return _sample_one_by_one(scene, rng, hits)
-
-
-def _sample_one_by_one(scene, rng, hits):
-    """`sample_wavefront`'s draws one antenna at a time, for a trial in
-    which some batched draw was rejected."""
-    # looked up at call time, so a wrapper installed on the module is seen
-    from .geometry import ray_wall_point
-
-    boresight = scene.rx.boresight
-    doas = []
-    for ant in scene.rx.antennas:
-        rejections = 0
-        while True:
-            v = rng.standard_normal(3)
-            n = norm(v)
-            if n == 0.0:
-                continue
-            v = v / n
-            d = np.vecdot(v, boresight)
-            if d < 0.0:
-                v = -v
-            elif d == 0.0:
-                continue
-            hit = ray_wall_point(ant, v, scene.walls, scene.openings)
-            if hit is not None:
-                doas.append(v)
-                if hits is not None:
-                    hits.append(hit)
-                break
-            rejections += 1
-            if rejections >= MAX_REJECTIONS:
-                raise SceneError("wavefront sampling rejected 10^4 directions; "
-                                 "scene geometry looks malformed")
+    m = len(antennas)
+    doas, points = np.empty((m, 3)), np.empty((m, 3))
+    first = np.empty(m, dtype=int)
+    draws = rng.standard_normal((m, 3))     # row j: the candidate of antenna i + j
+    i = misses = 0          # antennas accepted; wall misses of antenna i
+    w = m                   # candidates traced in this pass
+    while True:
+        n = norm(draws[:w])
+        with np.errstate(invalid="ignore"):     # a zero draw becomes NaN, rejected below
+            v = draws[:w] / n[:, None]
+        d = np.vecdot(v, scene.rx.boresight)
+        v = np.where((d < 0.0)[:, None], -v, v)
+        k, p = trace_walls(antennas[i:i + w], v, scene.wall_table)
+        ok = (n != 0.0) & (d != 0.0) & (k >= 0)
+        run = len(ok) if ok.all() else int(ok.argmin())
+        doas[i:i + run], first[i:i + run], points[i:i + run] = v[:run], k[:run], p[:run]
+        i += run
+        if i == m:
+            break
+        if run:
+            misses = 0
+        draws = draws[run:]
+        if run < len(ok):       # draws[0] was rejected
+            if n[run] != 0.0 and d[run] != 0.0:     # its ray missed every wall
+                misses += 1
+                if misses >= MAX_REJECTIONS:
+                    raise SceneError("wavefront sampling rejected 10^4 directions; "
+                                     "scene geometry looks malformed")
+            draws = np.concatenate((draws[1:], rng.standard_normal((1, 3))))
+        # candidates traced past a rejection are traced again for their new
+        # antenna; tracing at most twice the last run keeps that work linear
+        w = 2 * run + 1
+    if hits is not None:
+        hits.extend(zip(points, scene.wall_table.ids[first].tolist()))
     return WavefrontSpec(doas=doas)
 
 
@@ -266,18 +257,27 @@ def run_cell(config, d_r, m_side):
         raise SceneError(f"cell (d_r={d_r}, M={m_side}): {exc}") from exc
     dataset = DeviationDataset(samples=np.array(phis), d_r=d_r, m=m_side * m_side)
     try:
-        gamma = fit_gamma_mle(dataset)
-        rayleigh = fit_rayleigh_mle(dataset)
+        gamma, rayleigh, kld_gamma, kld_rayleigh = fit_models(dataset, config.n_bins)
     except (ValueError, DegenerateDataError) as exc:
         raise CellFitError(f"cell (d_r={d_r}, M={m_side}): {exc}") from exc
-    report = FitReport(
-        d_r=d_r, m_side=m_side, gamma=gamma, rayleigh=rayleigh,
-        kld_gamma=kld_empirical(dataset, lambda x: gamma_pdf(x, gamma.k_hat, gamma.theta_hat),
-                                config.n_bins),
-        kld_rayleigh=kld_empirical(dataset, lambda x: rayleigh_pdf(x, rayleigh.sigma_hat),
-                                   config.n_bins),
-        n_samples=dataset.n, n_failures=n_failures)
+    report = FitReport(d_r=d_r, m_side=m_side, gamma=gamma, rayleigh=rayleigh,
+                       kld_gamma=kld_gamma, kld_rayleigh=kld_rayleigh,
+                       n_samples=dataset.n, n_failures=n_failures)
     return CellResult(dataset=dataset, report=report, records=tuple(records))
+
+
+def fit_models(dataset, n_bins):
+    """(gamma, rayleigh, kld_gamma, kld_rayleigh): both models' MLE fits of
+    `dataset` and each fitted density's KLD against its n_bins histogram.
+
+    Raises ValueError or DegenerateDataError for data that cannot be fitted.
+    """
+    gamma = fit_gamma_mle(dataset)
+    rayleigh = fit_rayleigh_mle(dataset)
+    return (gamma, rayleigh,
+            kld_empirical(dataset, lambda x: gamma_pdf(x, gamma.k_hat, gamma.theta_hat),
+                          n_bins),
+            kld_empirical(dataset, lambda x: rayleigh_pdf(x, rayleigh.sigma_hat), n_bins))
 
 
 def _cell_weight(cell):

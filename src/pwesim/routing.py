@@ -8,15 +8,15 @@ which puts both vectors in the same convention and makes the collinear case
 give exactly zero deviation.
 
 The claims run antenna by antenna, because a claimed RIS leaves the pool;
-the traces before them and the realized DoAs and angles after them are
-computed for all antennas of a spec at once.
+the realized DoAs and angles after them are computed for all antennas of a
+spec at once.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import is_unit, trace_walls, unit
+from .geometry import is_unit, ray_wall_point, unit
 
 NO_HIT = "no_hit"              # desired ray exits the wall model
 NO_CANDIDATE = "no_candidate"  # no remaining RIS has LoS to the antenna
@@ -84,8 +84,7 @@ def get_routes(scene, graph, spec, hits=None):
     (the trials of one scene) search each lastRIS's path once.
 
     hits, when given, holds ray_wall_point(antenna, doa) per antenna, already
-    traced (as sample_wavefront does), so the rays are not traced again;
-    otherwise all antennas are traced in one `trace_walls` call.
+    traced (as sample_wavefront does), so the rays are not traced again.
     """
     antennas = scene.rx.antennas
     if len(spec.doas) != len(antennas):
@@ -93,9 +92,8 @@ def get_routes(scene, graph, spec, hits=None):
     if hits is not None and len(hits) != len(spec.doas):
         raise ValueError("hits length must match antenna count")
     if hits is None:
-        first, points = trace_walls(antennas, spec.doas, scene.wall_table)
-        hits = [None if k < 0 else (p, scene.walls[k].id)
-                for k, p in zip(first.tolist(), points)]
+        hits = [ray_wall_point(a, d, scene.walls, scene.openings)
+                for a, d in zip(antennas, spec.doas)]
     n_ris = graph.n_ris
     centers = scene.ris_centers
     free = np.ones(n_ris, dtype=bool)

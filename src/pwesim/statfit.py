@@ -131,6 +131,13 @@ def digamma(x):
     return acc + np.log(x) - 0.5 / x + series * inv2
 
 
+def _check_magnitude(x):
+    """Raise DegenerateDataError when a sum of squared samples, as both fits
+    take, would run past the float range."""
+    if float(np.max(x)) > np.sqrt(np.finfo(float).max / len(x)):
+        raise DegenerateDataError("samples too large to fit; their squares overflow")
+
+
 def _gamma_loglik(x, k, theta):
     return float(np.sum((k - 1.0) * np.log(x) - x / theta) - len(x) * (lgamma(k) + k * np.log(theta)))
 
@@ -144,6 +151,7 @@ def fit_gamma_mle(data):
     """
     if data.n < 2:
         raise ValueError("gamma fit needs at least two samples")
+    _check_magnitude(data.samples)
     x = np.maximum(data.samples, LOG_CLAMP)
     mean = float(np.mean(x))
     s = np.log(mean) - float(np.mean(np.log(x)))
@@ -187,6 +195,7 @@ def fit_rayleigh_mle(data):
     """Closed-form Rayleigh scale estimate sqrt(sum(x^2) / (2N))."""
     if data.n < 1:
         raise ValueError("rayleigh fit needs at least one sample")
+    _check_magnitude(data.samples)
     sq = float(np.sum(data.samples**2))
     if sq == 0.0:
         raise DegenerateDataError("all samples zero; rayleigh scale undefined")

@@ -9,8 +9,10 @@
   step, the scalar forms of `tile_wall` and `build_scene`'s antenna grid.
 - `ray_wall_scale` and `_ref_hit_point`: the scalar ray/plane scale and the
   first-hit wall scan, one wall at a time, behind `trace_walls`.
-- `sample_wavefront_loop`: `sample_wavefront` one antenna at a time, each
-  redrawing until its traced ray hits a wall.
+- `sample_wavefront_loop`: the rejection rule that `sample_wavefront` runs
+  in passes over the waiting antennas, here one antenna and one scalar
+  trace at a time; both read the same stream of normal 3-vectors, so the
+  DoAs, the hits and the final rng state must match.
 - `scalar_deviation`: one route's realized DoA and deviation angle with
   scalar norm and dot, the per-antenna form of `get_routes`' angle step.
 - `reference_get_routes`: the routing algorithm written against its textual

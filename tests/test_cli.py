@@ -172,6 +172,12 @@ class TestConfigBoundary:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert_one_line_error(capsys, "seed")
 
+    def test_unparseable_value_echo_cut(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "seed = " + "[" * 100_000 + "]" * 100_000 + "\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = assert_one_line_error(capsys, "seed", "unparseable value")
+        assert len(err) < 200
+
     def test_negative_seed_flag_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
@@ -287,6 +293,14 @@ class TestSweepCommand:
                 "route": ["--spec", str(spec), "--out", str(tmp_path / "r.json")]}
         assert main([command, "--config", str(cfg), *args[command]]) == 2
         assert_one_line_error(capsys, "d_r=0.001, M=2", "RIS units")
+
+    def test_sampler_rejection_bound_exit_2(self, tmp_path, capsys):
+        # an array far outside the rooms: every ray misses every wall
+        cfg = write_config(tmp_path, "rx_position = [1e6, 1e6, 1e6]\nd_r_values = [0.5]\n"
+                                     "m_sides = [1]\nn_trials = 1\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert_one_line_error(capsys, "(d_r=0.5, M=1)", "rejected 10^4 directions")
+        assert not (tmp_path / "out").exists()
 
     def test_repeated_sweep_value_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "d_r_values = [0.5, 0.5]\nn_trials = 2\n")
@@ -470,6 +484,12 @@ class TestRouteCommand:
         assert self._route_exit(tmp_path, spec.encode()) == 1
         assert_one_line_error(capsys, "cannot read spec", "recursion")
 
+    def test_non_number_components_exit_1(self, tmp_path, capsys):
+        spec = '[["-1","0","0"],[true,0,0],["-1",0,0],[-1,0,0]]'
+        assert self._route_exit(tmp_path, spec.encode()) == 1
+        assert_one_line_error(capsys, "DoA vectors")
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("bad", [[-1.0, 0.0], "x"], ids=["two_components", "text"])
     def test_malformed_doa_exit_1(self, tmp_path, capsys, bad):
         cfg = write_config(tmp_path)
@@ -520,6 +540,15 @@ class TestFitCommand:
                      "--out", str(tmp_path / "f.json")]) == 1
         err = assert_one_line_error(capsys, "finite", "phi_deg")
         assert "spread" not in err
+
+    def test_squares_past_float_range_exit_1(self, tmp_path):
+        # run_cli turns a numpy overflow warning into a failure
+        data = self._data_path(tmp_path, [0.0, 2.7e154])
+        out = tmp_path / "f.json"
+        code, err = run_cli(["fit", "--data", str(data), "--out", str(out)])
+        assert code == 1
+        assert len(err.splitlines()) == 1 and "too large" in err
+        assert not out.exists()
 
     def test_short_row_exit_1(self, tmp_path, capsys):
         path = tmp_path / "data.csv"

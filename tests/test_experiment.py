@@ -145,6 +145,32 @@ class TestConfigValidation:
             tiny_config(seed=-1)
 
 
+def scene_without(dropped, m_side):
+    """The default d_r = 0.5 scene with the walls `dropped` and their RIS
+    units removed."""
+    full = build_scene(SceneParams(), d_r=0.5, m_side=m_side)
+    keep = ~np.isin(full.ris_walls, dropped)
+    return Scene(walls=[w for w in full.walls if w.id not in dropped],
+                 openings=full.openings, ris_centers=full.ris_centers[keep],
+                 ris_walls=full.ris_walls[keep], tx=full.tx, rx=full.rx)
+
+
+class StubNormal:
+    """An rng whose standard_normal(size) serves the next 3-vectors of a
+    fixed stream, in order."""
+
+    def __init__(self, stream):
+        self.stream = np.array(stream, dtype=float)
+        self.served = 0
+
+    def standard_normal(self, size):
+        n = int(np.prod(size)) // 3
+        out = self.stream[self.served:self.served + n]
+        assert len(out) == n, "stream exhausted"
+        self.served += n
+        return out.reshape(size).copy()
+
+
 class TestSampleWavefront:
     def test_boresight_hemisphere(self):
         scene = build_scene(SceneParams(), d_r=0.5, m_side=3)
@@ -179,19 +205,13 @@ class TestSampleWavefront:
                    [(r.antenna_index, r.last_ris_id, r.path, r.phi_deg)
                     for r in traced.routes]
 
-    @pytest.mark.parametrize("dropped", [(), (4, 6)], ids=["default", "floor_and_far_wall_gone"])
-    def test_batched_matches_loop(self, monkeypatch, dropped):
-        # without the room-2 floor and the room-1 far wall, rays escape and
-        # the batched draw falls back to one antenna at a time
-        full = build_scene(SceneParams(), d_r=0.5, m_side=4)
-        keep = ~np.isin(full.ris_walls, dropped)
-        scene = Scene(walls=[w for w in full.walls if w.id not in dropped],
-                      openings=full.openings, ris_centers=full.ris_centers[keep],
-                      ris_walls=full.ris_walls[keep], tx=full.tx, rx=full.rx)
-        fallbacks = []
-        one_by_one = experiment._sample_one_by_one
-        monkeypatch.setattr(experiment, "_sample_one_by_one",
-                            lambda *args: fallbacks.append(1) or one_by_one(*args))
+    @pytest.mark.parametrize("dropped", [(), (4, 6), (0, 1, 4, 6)],
+                             ids=["default", "floor_and_far_wall_gone",
+                                  "divider_side_floor_and_far_wall_gone"])
+    def test_batched_matches_loop(self, dropped):
+        # without some walls, rays escape and antennas redraw: the pass that
+        # traces the waiting antennas runs more than once per trial
+        scene = scene_without(dropped, m_side=4)
         for seed in range(100):
             rng = np.random.default_rng(seed)
             ref = np.random.default_rng(seed)
@@ -203,7 +223,62 @@ class TestSampleWavefront:
             assert np.array_equal(np.array([p for p, _w in hits]),
                                   np.array([p for p, _w in want_hits]))
             assert rng.bit_generator.state == ref.bit_generator.state
-        assert len(fallbacks) == (0 if not dropped else 100)
+            # one (16, 3) draw is the whole stream exactly when no draw is rejected
+            once = np.random.default_rng(seed)
+            once.standard_normal((16, 3))
+            rejected = rng.bit_generator.state != once.bit_generator.state
+            assert rejected == bool(dropped)
+
+    def test_zero_and_boresight_plane_draws_skipped(self):
+        # boresight is -x: a draw with x == 0 lies on the boresight plane
+        scene = build_scene(SceneParams(), d_r=0.5, m_side=2)
+        stream = [(0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-0.3, 0.2, 0.1), (0.5, -0.1, 0.2),
+                  (0.0, 0.0, 0.0), (0.0, -2.0, 0.5), (-1.0, 0.3, -0.4),
+                  (0.0, 0.0, 1.0), (0.0, 0.0, 0.0), (0.7, 0.7, -0.1), (1.0, 2.0, 3.0)]
+        got, want = StubNormal(stream), StubNormal(stream)
+        hits = []
+        spec = sample_wavefront(scene, got, hits)
+        want_doas, want_hits = sample_wavefront_loop(scene, want)
+        assert np.array_equal(spec.doas, np.array(want_doas))
+        assert [w for _p, w in hits] == [w for _p, w in want_hits]
+        assert np.array_equal(np.array([p for p, _w in hits]),
+                              np.array([p for p, _w in want_hits]))
+        assert got.served == want.served == len(stream) - 1
+
+    def test_traced_rays_linear_in_draws(self, monkeypatch):
+        # a candidate traced past a rejection is traced again for its new
+        # antenna; passes no longer than twice the last run keep the rays
+        # traced within 4 per draw, where retracing every waiting antenna
+        # after each rejection would trace ~M/2 per rejection
+        traced = []
+        trace = experiment.trace_walls
+        monkeypatch.setattr(experiment, "trace_walls",
+                            lambda points, dirs, table:
+                            traced.append(len(points)) or trace(points, dirs, table))
+        scene = scene_without((0, 1, 4, 6), m_side=16)
+        for seed in range(5):
+            traced.clear()
+            rng = StubNormal(np.random.default_rng(seed).standard_normal((2000, 3)))
+            sample_wavefront(scene, rng)
+            assert rng.served > 256 + 50     # many rejections
+            assert sum(traced) <= 4 * rng.served
+
+    def test_miss_budget_per_antenna(self, monkeypatch):
+        # (-0.1, -1, 0) escapes where wall 1 is gone; each antenna may miss
+        # MAX_REJECTIONS - 1 times, and zero or boresight-plane draws do not
+        # count as misses
+        monkeypatch.setattr(experiment, "MAX_REJECTIONS", 2)
+        scene = scene_without((0, 1, 4, 6), m_side=2)
+        miss, hit = (-0.1, -1.0, 0.0), (-0.3, 0.2, 0.1)
+        zero, plane = (0.0, 0.0, 0.0), (0.0, 1.0, 0.0)
+        stream = [zero, plane, miss, hit] + [miss, hit] * 3
+        got, want = StubNormal(stream), StubNormal(stream)
+        spec = sample_wavefront(scene, got)
+        want_doas, _ = sample_wavefront_loop(scene, want)
+        assert np.array_equal(spec.doas, np.array(want_doas))
+        assert got.served == want.served == len(stream)
+        with pytest.raises(SceneError, match="rejected"):
+            sample_wavefront(scene, StubNormal([hit, miss, zero, plane, miss, hit, hit]))
 
     def test_cosine_of_polar_angle_uniformity(self):
         # uniform on the hemisphere: cos(angle to boresight) ~ U(0, 1),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,6 +160,12 @@ class TestGammaMle:
         with pytest.raises(ValueError):
             fit_gamma_mle(dataset([1.0]))
 
+    def test_squares_past_float_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDataError, match="too large"):
+                fit_gamma_mle(dataset([0.0, 2.7e154]))
+
     def test_zero_samples_are_clamped(self):
         # a handful of exact zeros must not crash the fit
         rng = np.random.default_rng(31)
@@ -181,6 +189,12 @@ class TestRayleighMle:
     def test_all_zero(self):
         with pytest.raises(DegenerateDataError):
             fit_rayleigh_mle(dataset([0.0, 0.0]))
+
+    def test_squares_past_float_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDataError, match="too large"):
+                fit_rayleigh_mle(dataset([0.0, 1.35e154]))
 
     def test_likelihood_is_maximum(self):
         rng = np.random.default_rng(13)
