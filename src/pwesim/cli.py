@@ -210,7 +210,7 @@ def cmd_sweep(args):
 
 def cmd_route(args):
     try:
-        config = load_config(args.config, args.seed)
+        config = load_config(args.config)
     except ConfigError as exc:
         return _fail(exc, EXIT_BAD_CONFIG)
     try:
@@ -321,7 +321,6 @@ def build_parser():
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--spec", required=True, help="JSON file of M unit DoA vectors")
     p.add_argument("--out", required=True, help="output JSON path")
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(func=cmd_route)
 
     p = sub.add_parser("fit", help="fit Gamma/Rayleigh models to phi data")

@@ -25,6 +25,10 @@ MAX_M_SIDE = 64
 MAX_BINS = 10_000
 # RIS units one scene may tile; d_r = 0.02 lays 380,790 on the default walls
 MAX_RIS_UNITS = 1_000_000
+# antenna x RIS unit pairs one scene may hold: each antenna caches one bool
+# per unit, so this keeps the rows under ~100 MB and about a minute of work;
+# M = 64 at d_r = 0.15 on the default walls is ~27 M
+MAX_ANTENNA_RIS_PAIRS = 100_000_000
 
 
 class CellFitError(Exception):
@@ -143,6 +147,9 @@ def build_scene(params, d_r, m_side):
     n_grid = sum(np.prod(grid_shape(w, d_r, params.ris_margin)) for w in tiled)
     if n_grid > MAX_RIS_UNITS:
         raise SceneError(f"RIS units of side {d_r} would number more than {MAX_RIS_UNITS}")
+    if m_side * m_side * n_grid > MAX_ANTENNA_RIS_PAIRS:
+        raise SceneError(f"{m_side * m_side} antennas x {int(n_grid)} RIS units would "
+                         f"make more than {MAX_ANTENNA_RIS_PAIRS} visibility pairs")
     per_wall = [tile_wall(w, d_r, margin=params.ris_margin, openings=openings)
                 for w in tiled]
     # a RIS id is its row in ris_centers: wall order, then v outer, u inner

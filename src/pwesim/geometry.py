@@ -8,7 +8,7 @@ functions.
 There is one ray trace rule, `trace_walls`: a broadcast over (rays x walls)
 of the slab-style ray/plane test (Williams et al., "An Efficient and Robust
 Ray-Box Intersection Algorithm", JGT 2005) that keeps each ray's first wall
-in id order. `ray_wall_point` is its one-ray case. The trace, `norm`,
+in id order. `ray_wall_point` lists its result per ray. The trace, `norm`,
 `unit` and `is_unit` take every 3-vector dot product through `np.vecdot`,
 which rounds exactly as a scalar `np.dot` of the same two vectors (einsum,
 `@` and axis sums do not), so a batched result equals the one-vector result
@@ -71,11 +71,6 @@ class WallPlane:
         for a in (self.n, self.u_axis, self.v_axis):
             if not is_unit(a):
                 raise ValueError("wall frame vectors must be unit length")
-
-    def local_uv(self, p):
-        """In-plane coordinates of p relative to the wall center."""
-        d = np.asarray(p, dtype=float) - self.p0
-        return float(np.dot(d, self.u_axis)), float(np.dot(d, self.v_axis))
 
 
 @dataclass(frozen=True)
@@ -168,13 +163,11 @@ def trace_walls(points, dirs, table):
     return np.where(found, first, -1), np.where(found[:, None], p[rows, first], np.nan)
 
 
-def ray_wall_point(ant, doa, walls, openings=()):
-    """`trace_walls` for one ray over a list of walls: (point, wall_id) of
-    the first wall hit, or None on a miss."""
-    first, hits = trace_walls(np.reshape(ant, (1, 3)), np.reshape(doa, (1, 3)),
-                              WallTable(walls, openings))
-    k = int(first[0])
-    return None if k < 0 else (hits[0], walls[k].id)
+def ray_wall_point(points, dirs, table):
+    """`trace_walls` as a list, one entry per ray: (point, wall_id) of the
+    first wall hit, or None on a miss."""
+    first, hits = trace_walls(points, dirs, table)
+    return [None if k < 0 else (p, int(table.ids[k])) for k, p in zip(first, hits)]
 
 
 def segments_clear_batch(a, bs, walls, openings=()):

@@ -78,13 +78,14 @@ def get_routes(scene, graph, spec, hits=None):
 
     Each antenna traces its desired ray to a wall point, claims the nearest
     LoS RIS (removed from the pool afterwards), and gets a minimum-hop
-    Tx -> ... -> lastRIS path. Antenna vertices never appear as path hops.
+    Tx -> ... -> lastRIS path whose hops are RIS units only.
     Per-antenna failures are recorded, never fatal. Paths come from
     `graph.min_hop_path`, which memoizes them, so calls that share one graph
     (the trials of one scene) search each lastRIS's path once.
 
-    hits, when given, holds ray_wall_point(antenna, doa) per antenna, already
-    traced (as sample_wavefront does), so the rays are not traced again.
+    hits, when given, holds ray_wall_point's (point, wall_id) or None per
+    antenna, already traced (as sample_wavefront does), so the rays are not
+    traced again; otherwise all rays are traced in one pass.
     """
     antennas = scene.rx.antennas
     if len(spec.doas) != len(antennas):
@@ -92,19 +93,16 @@ def get_routes(scene, graph, spec, hits=None):
     if hits is not None and len(hits) != len(spec.doas):
         raise ValueError("hits length must match antenna count")
     if hits is None:
-        hits = [ray_wall_point(a, d, scene.walls, scene.openings)
-                for a, d in zip(antennas, spec.doas)]
-    n_ris = graph.n_ris
+        hits = ray_wall_point(antennas, spec.doas, scene.wall_table)
     centers = scene.ris_centers
-    free = np.ones(n_ris, dtype=bool)
+    free = np.ones(graph.n_ris, dtype=bool)
     routed, rows, paths = [], [], []    # antenna, claimed RIS row, Tx path
     failures = []
     for i, hit in enumerate(hits):
         if hit is None:
             failures.append((i, NO_HIT))
             continue
-        j = nearest_ris(hit[0], centers,
-                        free & graph.row(graph.antenna_vertex(i))[1:1 + n_ris])
+        j = nearest_ris(hit[0], centers, free & graph.antenna_row(i))
         if j is None:
             failures.append((i, NO_CANDIDATE))
             continue

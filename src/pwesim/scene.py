@@ -1,12 +1,14 @@
 """Scene container and the LoS visibility graph with minimum-hop paths.
 
 A RIS unit is a row of `Scene.ris_centers`, and its id is that row index;
-`Scene.ris_walls` holds the id of each row's host wall. A vertex is an index
-into `PweGraph.positions`: 0 is the transmitter, 1 + j is RIS j, and the
-receiver antennas follow by index. An edge exists iff the
-open segment between the two vertex positions crosses no wall outside a
-declared opening. Adjacency rows are computed lazily (vectorized over all
-endpoints) and cached, so large scenes stay tractable.
+`Scene.ris_walls` holds the id of each row's host wall. The graph's vertices
+are the possible hops of a path: a vertex is an index into
+`PweGraph.positions`, 0 the transmitter and 1 + j RIS j. An edge exists iff
+the open segment between the two vertex positions crosses no wall outside a
+declared opening. Antennas are never hops, so they are not vertices: antenna
+i's visibility is `PweGraph.antenna_row(i)`, one bool per RIS id. Rows are
+computed lazily (vectorized over all endpoints) and cached, so large scenes
+stay tractable.
 
 The Tx -> lastRIS path rule is `PweGraph.min_hop_path`: the direct edge when
 Tx sees lastRIS, else [Tx, u, lastRIS] with u the smallest RIS vertex visible
@@ -64,20 +66,16 @@ class Scene:
 
 
 class PweGraph:
-    """Immutable LoS graph over a scene; adjacency rows and Tx paths cached."""
+    """Immutable LoS graph over Tx and the RIS units of a scene; adjacency
+    rows, antenna visibility rows and Tx paths cached."""
 
     def __init__(self, scene):
         self.scene = scene
         self.n_ris = len(scene.ris_centers)
-        self.positions = np.vstack([scene.tx, scene.ris_centers, scene.rx.antennas])
+        self.positions = np.vstack([scene.tx, scene.ris_centers])
         self._rows = {}
+        self._antenna_rows = {}
         self._paths = {}
-
-    # -- vertex bookkeeping -------------------------------------------------
-
-    @property
-    def vertex_count(self):
-        return len(self.positions)
 
     @property
     def tx_vertex(self):
@@ -86,14 +84,16 @@ class PweGraph:
     def ris_vertex(self, ris_id):
         return 1 + ris_id
 
-    def antenna_vertex(self, index):
-        return 1 + self.n_ris + index
-
-    @property
-    def antenna_vertices(self):
-        return range(1 + self.n_ris, self.vertex_count)
-
-    # -- adjacency ----------------------------------------------------------
+    def antenna_row(self, index):
+        """Read-only bool row, one entry per RIS id: which RIS units antenna
+        `index` sees (cached)."""
+        cached = self._antenna_rows.get(index)
+        if cached is None:
+            cached = segments_clear_batch(self.scene.rx.antennas[index], self.scene.ris_centers,
+                                          self.scene.walls, self.scene.openings)
+            cached.setflags(write=False)
+            self._antenna_rows[index] = cached
+        return cached
 
     def row(self, v):
         """Boolean adjacency row of vertex v (cached)."""
@@ -122,8 +122,8 @@ class PweGraph:
     def min_hop_path(self, last):
         """Minimum-hop Tx -> `last` path as a vertex tuple, Tx first, or None.
 
-        Only RIS vertices serve as hops. Ties resolve as in
-        `bfs_shortest_path(self, last, tx, antenna_vertices)`: the direct
+        Every vertex past Tx is a RIS unit, so only RIS units serve as hops.
+        Ties resolve as in `bfs_shortest_path(self, last, tx)`: the direct
         edge if Tx sees `last`; else the smallest RIS vertex u seen by both,
         found by testing Tx's visible RIS against `last` in ascending chunks;
         else that BFS itself. Results, None included, are memoized per `last`.
@@ -137,14 +137,14 @@ class PweGraph:
         tx_row = self.row(tx)
         if tx_row[last]:
             return (tx, last)
-        seen_by_tx = np.flatnonzero(tx_row[1:1 + self.n_ris]) + 1
+        seen_by_tx = np.flatnonzero(tx_row)
         for lo in range(0, len(seen_by_tx), PATH_CHUNK):
             chunk = seen_by_tx[lo:lo + PATH_CHUNK]
             clear = segments_clear_batch(self.positions[last], self.positions[chunk],
                                          self.scene.walls, self.scene.openings)
             if clear.any():
                 return (tx, int(chunk[np.argmax(clear)]), last)
-        found = bfs_shortest_path(self, last, tx, self.antenna_vertices)
+        found = bfs_shortest_path(self, last, tx)
         return None if found is None else tuple(reversed(found))
 
     def neighbors(self, v):
@@ -157,7 +157,7 @@ def build_graph(scene):
     if not len(scene.ris_centers):
         raise SceneError("scene contains no RIS units")
     graph = PweGraph(scene)
-    if not graph.row(graph.tx_vertex)[1:1 + graph.n_ris].any():
+    if not graph.row(graph.tx_vertex).any():
         raise SceneError("transmitter has no LoS to any RIS unit")
     return graph
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pwesim.geometry import AntennaArray, WallPlane, tile_wall
+from pwesim.scene import Scene
 
 
 def box_walls(size=(4.0, 4.0, 3.0), id_start=0):
@@ -41,6 +42,22 @@ def tiled_ris(walls, d_r, openings=()):
     per_wall = [tile_wall(w, d_r, openings=openings) for w in walls]
     return dict(ris_centers=np.concatenate(per_wall),
                 ris_walls=np.repeat([w.id for w in walls], [len(c) for c in per_wall]))
+
+
+def rotate_scene(scene, R):
+    """`scene` rotated rigidly by the orthogonal matrix R; ids unchanged."""
+    def rw(w):
+        return WallPlane(id=w.id, p0=R @ w.p0, n=R @ w.n,
+                         u_axis=R @ w.u_axis, v_axis=R @ w.v_axis,
+                         u_extent=w.u_extent, v_extent=w.v_extent)
+
+    ris = [R @ c for c in scene.ris_centers]
+    rx = AntennaArray(antennas=tuple(R @ np.asarray(a) for a in scene.rx.antennas),
+                      rows=scene.rx.rows, cols=scene.rx.cols,
+                      boresight=R @ np.asarray(scene.rx.boresight, float))
+    return Scene(walls=[rw(w) for w in scene.walls], openings=list(scene.openings),
+                 ris_centers=ris, ris_walls=scene.ris_walls,
+                 tx=R @ np.asarray(scene.tx, float), rx=rx)
 
 
 @pytest.fixture

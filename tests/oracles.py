@@ -1,7 +1,8 @@
 """Reference oracles for the tests: scalar or explicit forms of rules that
 `pwesim` implements in vectorized or graph-backed form.
 
-- `segment_clear`: the scalar segment test behind `segments_clear_batch`.
+- `segment_clear`: the scalar segment test behind `segments_clear_batch`;
+  `local_uv` gives a point's in-plane wall coordinates.
 - `SimpleGraph`: an explicit adjacency-set graph, input to `bfs_shortest_path`.
 - `select_last_ris`: the lastRIS claim for an explicit candidate list, by
   the same `nearest_ris` rule that `get_routes` applies.
@@ -52,11 +53,17 @@ def segment_clear(a, b, walls, openings=()):
         if t * length < ENDPOINT_EPS or (1.0 - t) * length < ENDPOINT_EPS:
             continue
         p = a + t * ab
-        u, v = wall.local_uv(p)
+        u, v = local_uv(wall, p)
         if not _on_wall(wall, u, v) or _in_opening(wall, u, v, openings):
             continue
         return False
     return True
+
+
+def local_uv(wall, p):
+    """In-plane coordinates of p relative to the wall center."""
+    d = np.asarray(p, dtype=float) - wall.p0
+    return float(np.dot(d, wall.u_axis)), float(np.dot(d, wall.v_axis))
 
 
 def _on_wall(wall, u, v):
@@ -101,7 +108,7 @@ def select_last_ris(point, candidates, antenna_index, graph):
     """
     available = np.zeros(graph.n_ris, dtype=bool)
     available[list(candidates)] = True
-    available &= graph.row(graph.antenna_vertex(antenna_index))[1:1 + graph.n_ris]
+    available &= graph.antenna_row(antenna_index)
     return nearest_ris(point, graph.scene.ris_centers, available)
 
 

@@ -277,6 +277,17 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2
 
+    @staticmethod
+    def run_2x2(tmp_path, command, d_r):
+        """Exit code of `command` on one cell of side d_r and M = 2."""
+        cfg = write_config(tmp_path, f"d_r_values = [{d_r}]\nm_sides = [2]\n"
+                                     "n_trials = 2\n")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps([[-1.0, 0.0, 0.0]] * 4))
+        args = {"sweep": ["--out", str(tmp_path / "out")],
+                "route": ["--spec", str(spec), "--out", str(tmp_path / "r.json")]}
+        return main([command, "--config", str(cfg), *args[command]])
+
     @pytest.mark.parametrize("command", ["sweep", "route"])
     def test_too_many_ris_units_exit_2(self, tmp_path, capsys, monkeypatch,
                                        command):
@@ -285,14 +296,22 @@ class TestSweepCommand:
         def no_tiling(*args, **kwargs):
             raise AssertionError("tile_wall called past the unit bound")
         monkeypatch.setattr(experiment, "tile_wall", no_tiling)
-        cfg = write_config(tmp_path, "d_r_values = [0.001]\nm_sides = [2]\n"
-                                     "n_trials = 2\n")
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps([[-1.0, 0.0, 0.0]] * 4))
-        args = {"sweep": ["--out", str(tmp_path / "out")],
-                "route": ["--spec", str(spec), "--out", str(tmp_path / "r.json")]}
-        assert main([command, "--config", str(cfg), *args[command]]) == 2
+        assert self.run_2x2(tmp_path, command, 0.001) == 2
         assert_one_line_error(capsys, "d_r=0.001, M=2", "RIS units")
+
+    @pytest.mark.parametrize("command", ["sweep", "route"])
+    def test_too_many_antenna_ris_pairs_exit_2(self, tmp_path, capsys, monkeypatch,
+                                               command):
+        # 4 antennas x 620 grid cells of side 0.5 pass a bound of 1,000
+        # pairs; no wall is tiled and no visibility row computed
+        def unreached(*args, **kwargs):
+            raise AssertionError("reached past the pair bound")
+        monkeypatch.setattr(experiment, "MAX_ANTENNA_RIS_PAIRS", 1000)
+        monkeypatch.setattr(experiment, "tile_wall", unreached)
+        monkeypatch.setattr("pwesim.scene.segments_clear_batch", unreached)
+        assert self.run_2x2(tmp_path, command, 0.5) == 2
+        assert_one_line_error(capsys, "d_r=0.5, M=2", "4 antennas x 620 RIS units",
+                              "more than 1000 visibility pairs")
 
     def test_sampler_rejection_bound_exit_2(self, tmp_path, capsys):
         # an array far outside the rooms: every ray misses every wall

@@ -10,7 +10,7 @@ from pwesim.geometry import tile_wall
 from pwesim.routing import get_routes
 from pwesim.scene import Scene, SceneError, build_graph
 
-from oracles import antenna_grid_loop, sample_wavefront_loop, tile_wall_loop
+from oracles import antenna_grid_loop, local_uv, sample_wavefront_loop, tile_wall_loop
 
 
 def tiny_config(**kw):
@@ -44,7 +44,7 @@ class TestSceneParams:
         for center, wall_id in zip(scene.ris_centers, scene.ris_walls):
             if wall_id != 0:
                 continue
-            u, v = divider.local_uv(center)
+            u, v = local_uv(divider, center)
             h = 0.3 / 2
             overlap_u = abs(u - door.u_center) < h + door.u_half
             overlap_v = abs(v - door.v_center) < h + door.v_half
@@ -56,7 +56,7 @@ class TestSceneParams:
         assert list(scene.ris_walls) == sorted(scene.ris_walls)
         assert set(scene.ris_walls) == set(range(9))
         for wall in scene.walls[:9]:
-            uvs = [wall.local_uv(c) for c in scene.ris_centers[scene.ris_walls == wall.id]]
+            uvs = [local_uv(wall, c) for c in scene.ris_centers[scene.ris_walls == wall.id]]
             assert uvs == sorted(uvs, key=lambda t: (t[1], t[0]))
 
     def test_antenna_grid_spacing(self):
@@ -89,6 +89,20 @@ class TestSceneParams:
 
     def test_fine_tiling_within_bound(self):
         assert len(build_scene(SceneParams(), d_r=0.02, m_side=1).ris_centers) == 380_790
+
+    def test_antenna_ris_pair_bound_before_tiling(self, monkeypatch):
+        # 4,096 antennas x 387,500 grid cells: 1.6e9 pairs, refused before any
+        # wall is tiled
+        def no_tiling(*args, **kwargs):
+            raise AssertionError("tile_wall called past the pair bound")
+        monkeypatch.setattr(experiment, "tile_wall", no_tiling)
+        with pytest.raises(SceneError, match="more than 100000000 visibility pairs"):
+            build_scene(SceneParams(), d_r=0.02, m_side=64)
+
+    def test_largest_default_cell_within_pair_bound(self):
+        # M = 64 at the smallest default d_r: ~27 M pairs, admitted
+        scene = build_scene(SceneParams(), d_r=0.15, m_side=64)
+        assert 2e7 < len(scene.ris_centers) * scene.rx.m <= experiment.MAX_ANTENNA_RIS_PAIRS
 
 
 def assert_same_bits(got, want):

@@ -8,7 +8,13 @@ from pwesim.geometry import (Aperture, WallPlane, WallTable, ray_wall_point,
                              segments_clear_batch, tile_wall, trace_walls, unit)
 
 from conftest import box_walls
-from oracles import _ref_hit_point, ray_wall_scale, segment_clear
+from oracles import _ref_hit_point, local_uv, ray_wall_scale, segment_clear
+
+
+def trace_one(ant, doa, walls, openings=()):
+    """`ray_wall_point` for the one ray ant + d * doa."""
+    return ray_wall_point(np.reshape(ant, (1, 3)), np.reshape(doa, (1, 3)),
+                          WallTable(walls, openings))[0]
 
 
 def zwall(z, wid=0, u_extent=5.0, v_extent=5.0):
@@ -54,26 +60,26 @@ class TestRayWallScale:
 class TestRayWallPoint:
     def test_ceiling_hit(self):
         walls = box_walls((4, 4, 3))
-        p, wid = ray_wall_point((2, 2, 1.5), (0, 0, 1.0), walls)
+        p, wid = trace_one((2, 2, 1.5), (0, 0, 1.0), walls)
         assert wid == 1
         np.testing.assert_allclose(p, (2, 2, 3), atol=1e-12)
 
     def test_boundary_point_included(self):
         wall = zwall(4.0, u_extent=1.0, v_extent=1.0)
         doa = unit((1.0, 0.0, 4.0))  # hits exactly u = 1.0 on the extent edge
-        p, wid = ray_wall_point((0, 0, 0), doa, [wall])
+        p, wid = trace_one((0, 0, 0), doa, [wall])
         assert wid == 0
         assert p[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_no_hit(self):
         wall = zwall(4.0, u_extent=1.0, v_extent=1.0)
-        assert ray_wall_point((0, 0, 0), unit((4.0, 0, 1.0)), [wall]) is None
+        assert trace_one((0, 0, 0), unit((4.0, 0, 1.0)), [wall]) is None
 
     def test_opening_is_not_wall(self):
         wall = zwall(4.0)
         opening = Aperture(wall_id=0, u_center=0.0, v_center=0.0,
                            u_half=0.5, v_half=0.5)
-        assert ray_wall_point((0, 0, 0), (0, 0, 1.0), [wall], [opening]) is None
+        assert trace_one((0, 0, 0), (0, 0, 1.0), [wall], [opening]) is None
 
     def test_march_oracle(self, rng):
         # brute-force: march the ray in 1 mm steps until a wall plane is
@@ -82,7 +88,7 @@ class TestRayWallPoint:
         for _ in range(50):
             ant = rng.uniform((0.5, 0.5, 0.5), (3.5, 3.5, 2.5))
             doa = unit(rng.normal(size=3))
-            res = ray_wall_point(ant, doa, walls)
+            res = trace_one(ant, doa, walls)
             assert res is not None
             p, wid = res
             step = 1e-3
@@ -102,7 +108,7 @@ class TestRayWallPoint:
         for _ in range(200):
             ant = rng.uniform((0.2, 0.2, 0.2), (3.8, 3.8, 2.8))
             doa = unit(rng.normal(size=3))
-            p, wid = ray_wall_point(ant, doa, walls)
+            p, wid = trace_one(ant, doa, walls)
             wall = walls[wid]
             assert abs(float(np.dot(p - wall.p0, wall.n))) <= 1e-9
             d = ray_wall_scale(ant, doa, wall)
@@ -180,9 +186,20 @@ class TestTraceWalls:
         for _ in range(50):
             ant = rng.uniform((0.5, 0.5, 0.5), (3.5, 3.5, 2.5))
             doa = unit(rng.normal(size=3))
-            p, wid = ray_wall_point(ant, doa, walls)
+            p, wid = trace_one(ant, doa, walls)
             want_p, want_id = _ref_hit_point(ant, doa, walls, ())
             assert wid == want_id and np.array_equal(p, want_p)
+
+    def test_list_form(self, rng):
+        # one entry per ray of one call: the scan's (point, wall id) or None
+        points = np.vstack([self.scene.rx.antennas, [(12.0, 2.5, 1.5)]])
+        dirs = np.vstack([unit(rng.normal(size=(len(points) - 1, 3))), [(1.0, 0, 0)]])
+        got = ray_wall_point(points, dirs, self.scene.wall_table)
+        assert len(got) == len(points) and got[-1] is None
+        for res, point, doa in zip(got[:-1], points, dirs):
+            want_p, want_id = _ref_hit_point(point, doa, self.scene.walls, self.scene.openings)
+            p, wid = res
+            assert type(wid) is int and wid == want_id and p.tobytes() == want_p.tobytes()
 
 
 class TestSegmentClear:
@@ -277,7 +294,7 @@ class TestTileWall:
         wall = self.wall_4x3()
         for d_r in (0.3, 0.7, 1.1):
             units = tile_wall(wall, d_r)
-            uvs = [wall.local_uv(c) for c in units]
+            uvs = [local_uv(wall, c) for c in units]
             h = d_r / 2
             for u, v in uvs:
                 assert abs(u) + h <= wall.u_extent + 1e-9
@@ -291,7 +308,7 @@ class TestTileWall:
     def test_ids_row_major(self):
         units = tile_wall(self.wall_4x3(), 1.0)
         assert units.shape == (12, 3)
-        uvs = [self.wall_4x3().local_uv(c) for c in units]
+        uvs = [local_uv(self.wall_4x3(), c) for c in units]
         # v ascends in the outer loop, u in the inner
         assert uvs == sorted(uvs, key=lambda t: (t[1], t[0]))
 
@@ -302,6 +319,6 @@ def test_tile_wall_never_exceeds_extents(d_r, margin):
     wall = WallPlane(id=0, p0=(0, 0, 0), n=(0, 0, 1.0), u_axis=(1.0, 0, 0),
                      v_axis=(0, 1.0, 0), u_extent=1.7, v_extent=1.2)
     for c in tile_wall(wall, d_r, margin=margin):
-        u, v = wall.local_uv(c)
+        u, v = local_uv(wall, c)
         assert abs(u) + d_r / 2 <= wall.u_extent - margin + 1e-9
         assert abs(v) + d_r / 2 <= wall.v_extent - margin + 1e-9

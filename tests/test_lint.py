@@ -38,6 +38,27 @@ def unreferenced_defs(trees):
                   if not readers[name] - {(module, name)})
 
 
+def unread_methods(trees):
+    """Public methods and properties of module-level classes, as
+    "module.Class.name", that no code outside their own definition reads as
+    an attribute. `trees` maps module name to its parsed source."""
+    readers = defaultdict(set)     # attribute name -> methods reading it (None: elsewhere)
+    methods = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            members = top.body if isinstance(top, ast.ClassDef) else [top]
+            for item in members:
+                owner = None
+                if (isinstance(top, ast.ClassDef) and isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    owner = (module, top.name, item.name)
+                    methods.append(owner)
+                for node in ast.walk(item):
+                    if isinstance(node, ast.Attribute):
+                        readers[node.attr].add(owner)
+    return sorted(".".join(m) for m in methods if not readers[m[2]] - {m})
+
+
 def _src_trees():
     return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
             for path in sorted(SRC.glob("*.py"))}
@@ -68,3 +89,20 @@ def test_every_def_is_referenced():
     # a name only the tests call belongs in tests/oracles.py, not in src/
     found = unreferenced_defs(_src_trees())
     assert not found, "defined but never referenced in src/: " + ", ".join(found)
+
+
+def test_unread_methods_are_found():
+    trees = {
+        "a": ast.parse("class A:\n    def used(self):\n        return self._private()\n\n"
+                       "    def rec(self):\n        return self.rec()\n\n"
+                       "    @property\n    def lone(self):\n        return 1\n\n"
+                       "    def _private(self):\n        pass\n"),
+        "b": ast.parse("from a import A\n\nA().used()\n"),
+    }
+    assert unread_methods(trees) == ["a.A.lone", "a.A.rec"]
+
+
+def test_every_method_is_read():
+    # a method only the tests call belongs in tests/oracles.py, not in src/
+    found = unread_methods(_src_trees())
+    assert not found, "methods never read in src/: " + ", ".join(found)

@@ -8,7 +8,7 @@ from pwesim.experiment import SceneParams, build_scene
 from pwesim.geometry import Aperture, WallPlane
 from pwesim.scene import PweGraph, Scene, SceneError, bfs_shortest_path, build_graph
 
-from conftest import box_walls, ris_on_wall, single_antenna_array
+from conftest import box_walls, ris_on_wall, rotate_scene, single_antenna_array
 from oracles import SimpleGraph, segment_clear
 
 
@@ -40,50 +40,52 @@ def two_room_scene(with_door):
 
 def edges(g):
     """Full edge set of g as (u, v) pairs with u < v. O(V^2) segment tests."""
-    return {(u, int(v)) for u in range(g.vertex_count)
+    return {(u, int(v)) for u in range(len(g.positions))
             for v in np.flatnonzero(g.row(u)) if u < v}
 
 
 class TestBuildGraph:
     def test_small_scene_fully_connected(self):
         g = build_graph(one_room_scene())
-        assert g.vertex_count == 3
-        assert edges(g) == {(0, 1), (0, 2), (1, 2)}
+        assert len(g.positions) == 2
+        assert edges(g) == {(0, 1)}
+        assert g.antenna_row(0).tolist() == [True]
 
     def test_vertex_ordering(self):
         g = build_graph(two_room_scene(with_door=True))
         scene = g.scene
         assert [g.ris_vertex(j) for j in range(4)] == [1, 2, 3, 4]
-        expected = [scene.tx, *scene.ris_centers, scene.rx.antennas[0]]
-        np.testing.assert_array_equal(g.positions, expected)
-        assert list(g.antenna_vertices) == [5]
+        # antennas are no vertices: Tx and the RIS rows only
+        np.testing.assert_array_equal(g.positions, [scene.tx, *scene.ris_centers])
+        assert g.positions.shape == (1 + g.n_ris, 3)
 
     def test_no_door_no_cross_room_edges(self):
         # the divider-mounted RIS (id 2) sits on the shared plane and sees
         # both sides, so only strictly interior vertices are partitioned
         g = build_graph(two_room_scene(with_door=False))
         room1 = {0, g.ris_vertex(0), g.ris_vertex(1)}
-        room2 = {g.ris_vertex(3), g.antenna_vertex(0)}
+        room2 = {g.ris_vertex(3)}
         for u, v in edges(g):
             assert not (u in room1 and v in room2) and not (u in room2 and v in room1)
+        # the antenna in room 2 sees the divider unit and the room-2 unit
+        assert g.antenna_row(0).tolist() == [False, False, True, True]
 
     def test_edges_match_bruteforce(self):
         scene = two_room_scene(with_door=True)
         g = build_graph(scene)
         expected = set()
         pos = g.positions
-        for u, v in itertools.combinations(range(g.vertex_count), 2):
+        for u, v in itertools.combinations(range(len(pos)), 2):
             if segment_clear(pos[u], pos[v], scene.walls, scene.openings):
                 expected.add((u, v))
         assert edges(g) == expected
 
     def test_e_subsets(self):
-        # g computes no antenna row, so its has_edge tests single segments
+        # g computes no Tx row, so its has_edge tests single segments
         scene = two_room_scene(with_door=True)
-        g, rows = build_graph(scene), build_graph(scene)
-        for a in [g.tx_vertex, *g.antenna_vertices]:
-            for v in range(1, 1 + g.n_ris):
-                assert g.has_edge(a, v) == g.has_edge(v, a) == bool(rows.row(a)[v])
+        g, rows = PweGraph(scene), build_graph(scene)
+        for v in range(1, 1 + g.n_ris):
+            assert g.has_edge(0, v) == g.has_edge(v, 0) == bool(rows.row(0)[v])
 
     def test_determinism(self):
         g1 = build_graph(two_room_scene(with_door=True))
@@ -108,6 +110,34 @@ class TestBuildGraph:
                       tx=scene.tx, rx=scene.rx)
         with pytest.raises(SceneError):
             build_graph(scene)
+
+
+class TestAntennaRow:
+    """`antenna_row(i)` is the segment test from antenna i to every RIS."""
+
+    def assert_rows_like_oracle(self, scene):
+        g = build_graph(scene)
+        for i, ant in enumerate(scene.rx.antennas):
+            want = [segment_clear(ant, c, scene.walls, scene.openings)
+                    for c in scene.ris_centers]
+            assert g.antenna_row(i).tolist() == want
+        return g
+
+    def test_default_two_room_scene(self):
+        g = self.assert_rows_like_oracle(build_scene(SceneParams(), 0.45, 4))
+        assert g.antenna_row(0).any() and not g.antenna_row(0).all()
+
+    def test_rotated_rooms(self, rng):
+        # tilted walls: no dot product is exact in every summation order
+        R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        self.assert_rows_like_oracle(rotate_scene(build_scene(SceneParams(), 0.45, 4), R))
+
+    def test_cached_read_only(self):
+        g = build_graph(two_room_scene(with_door=True))
+        row = g.antenna_row(0)
+        assert g.antenna_row(0) is row and row.shape == (g.n_ris,)
+        with pytest.raises(ValueError):
+            row[0] = False
 
 
 class TestSceneChecks:
@@ -214,8 +244,7 @@ class TestBfs:
     def test_bfs_on_pwe_graph(self):
         g = build_graph(two_room_scene(with_door=True))
         last = g.ris_vertex(3)
-        path = bfs_shortest_path(g, last, g.tx_vertex,
-                                 banned=set(g.antenna_vertices))
+        path = bfs_shortest_path(g, last, g.tx_vertex)
         assert path is not None and path[0] == last and path[-1] == 0
         for u, v in zip(path, path[1:]):
             assert g.has_edge(u, v)
@@ -225,9 +254,8 @@ class TestMinHopPath:
     @pytest.mark.parametrize("d_r, m_side", [(0.5, 4), (0.2, 8)])
     def test_matches_bfs_oracle_on_default_scene(self, d_r, m_side):
         g = build_graph(build_scene(SceneParams(), d_r, m_side))
-        banned = set(g.antenna_vertices)
         for last in range(1, 1 + g.n_ris):
-            oracle = bfs_shortest_path(g, last, g.tx_vertex, banned)
+            oracle = bfs_shortest_path(g, last, g.tx_vertex)
             assert g.min_hop_path(last) == tuple(reversed(oracle))
 
     def test_unreachable_is_none(self):
@@ -237,5 +265,5 @@ class TestMinHopPath:
         g = build_graph(replace(scene, ris_centers=scene.ris_centers[keep],
                                 ris_walls=scene.ris_walls[keep]))
         last = g.ris_vertex(2)
-        assert bfs_shortest_path(g, last, g.tx_vertex, set(g.antenna_vertices)) is None
+        assert bfs_shortest_path(g, last, g.tx_vertex) is None
         assert g.min_hop_path(last) is None
