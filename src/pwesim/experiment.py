@@ -176,7 +176,7 @@ def build_scene(params, d_r, m_side):
     antennas = (center + dy * ey + dz * ez).reshape(-1, 3)
     rx = AntennaArray(antennas=antennas, rows=m_side, cols=m_side, boresight=-ex)
     return Scene(walls=walls, openings=openings, ris_centers=ris_centers,
-                 ris_walls=ris_walls, tx=tx, rx=rx)
+                 ris_walls=ris_walls, tx=tx, rx=rx, ris_grid=(d_r, params.ris_margin))
 
 
 def sample_wavefront(scene, rng, hits=None):

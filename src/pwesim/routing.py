@@ -9,7 +9,12 @@ give exactly zero deviation.
 
 The claims run antenna by antenna, because a claimed RIS leaves the pool;
 the realized DoAs and angles after them are computed for all antennas of a
-spec at once.
+spec at once. A claim is the nearest free unit the antenna sees, by the full
+scan `nearest_ris`, unless a cheaper test proves the answer first: one
+broadcast per spec (`RisCells.candidates`) ranks the units of the 3 x 3 grid
+cells around each hit point, as far as bounds on every other unit prove
+that ranking, and an antenna takes the first free visible unit of its
+ranking. Only an antenna whose ranking runs out scans every unit.
 """
 
 from dataclasses import dataclass
@@ -78,7 +83,10 @@ def get_routes(scene, graph, spec, hits=None):
 
     Each antenna traces its desired ray to a wall point, claims the nearest
     LoS RIS (removed from the pool afterwards), and gets a minimum-hop
-    Tx -> ... -> lastRIS path whose hops are RIS units only.
+    Tx -> ... -> lastRIS path whose hops are RIS units only. The claim is
+    the first free visible unit among the point's `RisCells.candidates`, and
+    the full scan `nearest_ris` where there is none; both give the same
+    unit, smallest id first on ties.
     Per-antenna failures are recorded, never fatal. Paths come from
     `graph.min_hop_path`, which memoizes them, so calls that share one graph
     (the trials of one scene) search each lastRIS's path once.
@@ -95,6 +103,10 @@ def get_routes(scene, graph, spec, hits=None):
     if hits is None:
         hits = ray_wall_point(antennas, spec.doas, scene.wall_table)
     centers = scene.ris_centers
+    points = np.array([np.full(3, np.nan) if hit is None else hit[0] for hit in hits])
+    cols = np.searchsorted(scene.wall_table.ids, [0 if hit is None else hit[1] for hit in hits])
+    cells = scene.ris_cells
+    near = [()] * len(hits) if cells is None else cells.candidates(points.reshape(-1, 3), cols)
     free = np.ones(graph.n_ris, dtype=bool)
     routed, rows, paths = [], [], []    # antenna, claimed RIS row, Tx path
     failures = []
@@ -102,7 +114,10 @@ def get_routes(scene, graph, spec, hits=None):
         if hit is None:
             failures.append((i, NO_HIT))
             continue
-        j = nearest_ris(hit[0], centers, free & graph.antenna_row(i))
+        visible = graph.antenna_row(i)
+        j = next((j for j in near[i] if free[j] and visible[j]), None)
+        if j is None:
+            j = nearest_ris(hit[0], centers, free & visible)
         if j is None:
             failures.append((i, NO_CANDIDATE))
             continue

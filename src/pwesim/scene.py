@@ -1,14 +1,19 @@
 """Scene container and the LoS visibility graph with minimum-hop paths.
 
 A RIS unit is a row of `Scene.ris_centers`, and its id is that row index;
-`Scene.ris_walls` holds the id of each row's host wall. The graph's vertices
-are the possible hops of a path: a vertex is an index into
-`PweGraph.positions`, 0 the transmitter and 1 + j RIS j. An edge exists iff
-the open segment between the two vertex positions crosses no wall outside a
-declared opening. Antennas are never hops, so they are not vertices: antenna
-i's visibility is `PweGraph.antenna_row(i)`, one bool per RIS id. Rows are
-computed lazily (vectorized over all endpoints) and cached, so large scenes
-stay tractable.
+`Scene.ris_walls` holds the id of each row's host wall. A scene built with
+`ris_grid` = (d_r, margin), the arguments `tile_wall` laid its units with,
+also holds `ris_cells` (`RisCells`): the cell -> RIS row table of each
+wall's grid, which ranks the units nearest a wall point for the lastRIS
+claim.
+
+The graph's vertices are the possible hops of a path: a vertex is an index
+into `PweGraph.positions`, 0 the transmitter and 1 + j RIS j. An edge exists
+iff the open segment between the two vertex positions crosses no wall
+outside a declared opening. Antennas are never hops, so they are not
+vertices: antenna i's visibility is `PweGraph.antenna_row(i)`, one bool per
+RIS id. Rows are computed lazily (vectorized over all endpoints) and cached,
+so large scenes stay tractable.
 
 The Tx -> lastRIS path rule is `PweGraph.min_hop_path`: the direct edge when
 Tx sees lastRIS, else [Tx, u, lastRIS] with u the smallest RIS vertex visible
@@ -22,13 +27,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AntennaArray, WallTable, segments_clear_batch
+from .geometry import AntennaArray, WallTable, grid_cells, segments_clear_batch
 
 
 # Tx-visible RIS tested per segments_clear_batch call when looking for the
 # middle hop of a two-hop path; the search stops at the first chunk with a
 # clear segment instead of testing every Tx-visible RIS
 PATH_CHUNK = 64
+# a RIS center may lie this far off its host wall's plane, meters
+PLANE_TOL = 1e-9
+# a unit of a RisCells grid lies within GRID_TOL * d_r of its cell's center
+GRID_TOL = 1e-6
+# cell offsets of the 3 x 3 block RisCells.candidates ranks, u inner
+_BLOCK_U = np.array([-1, 0, 1] * 3)
+_BLOCK_V = np.repeat([-1, 0, 1], 3)
 
 
 class SceneError(Exception):
@@ -43,6 +55,8 @@ class Scene:
     ris_walls: np.ndarray      # (n_ris,), read-only copy; host wall id per row
     tx: np.ndarray
     rx: AntennaArray
+    # (d_r, margin) of the tile_wall grids that laid ris_centers, or None
+    ris_grid: tuple = None
 
     def __post_init__(self):
         self.tx = np.asarray(self.tx, dtype=float)
@@ -58,11 +72,114 @@ class Scene:
         unknown = np.flatnonzero(~np.isin(self.ris_walls, [w.id for w in self.walls]))
         if len(unknown):
             raise SceneError(f"RIS {unknown[0]} names no wall: {self.ris_walls[unknown[0]]}")
-        for wall in self.walls:
+        t = self.wall_table
+        # per wall: the matrix taking a point less p0 to its (u, v, n), and
+        # the bounds on a hosted center's |u|, |v|, |n|
+        frames = np.stack([t.u_axis, t.v_axis, t.n], axis=2)
+        limits = np.stack([t.u_limit, t.v_limit, np.full(len(t.ids), PLANE_TOL)], axis=1)
+        cells = None
+        if self.ris_grid is not None:
+            cells = RisCells(t.p0, frames, limits, self.ris_centers, *self.ris_grid)
+        for k, wall in enumerate(self.walls):
             rows = np.flatnonzero(self.ris_walls == wall.id)
-            off = rows[np.abs((self.ris_centers[rows] - wall.p0) @ wall.n) > 1e-9]
-            if len(off):
-                raise SceneError(f"RIS {off[0]} center is off its host wall")
+            local = (self.ris_centers[rows] - wall.p0) @ frames[k]
+            out = np.abs(local) > limits[k]
+            if out.any():
+                if out[:, 2].any():
+                    raise SceneError(f"RIS {rows[out[:, 2]][0]} center is off its host wall")
+                raise SceneError(f"RIS {rows[out.any(axis=1)][0]} center lies outside its host wall")
+            if cells is not None and len(rows):
+                cells.add_wall(k, wall, self.openings, rows, local[:, 0], local[:, 1])
+        self.ris_cells = cells
+
+
+class RisCells:
+    """Cell -> RIS row table of the `tile_wall` grids a scene's units lie
+    on, for `Scene.ris_grid` = (d_r, margin).
+
+    Per `WallTable` column k: the grid's lower-left corner (u0[k], v0[k])
+    in wall coordinates and its n_u[k] x n_v[k] cells of side d_r (0 x 0
+    where the wall hosts no unit); its row-major (v outer, u inner) block
+    of RIS rows, -1 for a cell an opening skips, starts at rows[start[k]].
+    """
+
+    def __init__(self, p0, frames, limits, centers, d_r, margin):
+        """p0, frames, limits: per wall, its point, the (3, 3) matrix taking
+        p - p0 to (u, v, n) and the (3,) bounds on a hosted unit's |u|,
+        |v|, |n|."""
+        w = len(p0)
+        self.centers = centers
+        self.d_r, self.margin = d_r, margin
+        self.u0, self.v0 = np.zeros(w), np.zeros(w)
+        self.n_u = np.zeros(w, dtype=int)
+        self.n_v = np.zeros(w, dtype=int)
+        self.start = np.zeros(w, dtype=int)
+        self.rows = np.empty(0, dtype=int)
+        # (p @ axes).reshape(W, 3) - origin: p's (u, v, n) on every wall
+        self.axes = frames.transpose(1, 0, 2).reshape(3, -1)
+        self.origin = (p0[:, None, :] @ frames)[:, 0]
+        self.limits = limits
+
+    def add_wall(self, k, wall, openings, rows, u, v):
+        """Enter column k's grid, hosting RIS `rows` at in-plane coordinates
+        (u, v). The grid is `grid_cells`', the rule `tile_wall` lays units
+        by; SceneError unless the rows are its kept cells' centers in
+        `tile_wall`'s order."""
+        d_r = self.d_r
+        u_lo, v_lo, keep = grid_cells(wall, d_r, self.margin, openings)
+        iv, iu = np.nonzero(keep)
+        tol = GRID_TOL * d_r
+        if (len(iu) != len(rows) or np.abs(u - u_lo[iu] - d_r / 2.0).max() > tol
+                or np.abs(v - v_lo[iv] - d_r / 2.0).max() > tol):
+            raise SceneError(f"RIS units on wall {wall.id} are not its d_r = {d_r} grid")
+        block = np.full(keep.shape, -1)
+        block[keep] = rows
+        self.u0[k], self.v0[k] = u_lo[0], v_lo[0]
+        self.n_v[k], self.n_u[k] = keep.shape
+        self.start[k] = len(self.rows)
+        self.rows = np.concatenate([self.rows, block.ravel()])
+
+    def candidates(self, points, cols):
+        """Per hit point, the RIS rows that are provably its nearest units
+        in turn: each listed row is nearer than every unit listed after it
+        and every unit not listed, so the first free visible one is the
+        lastRIS claim.
+
+        points: (M, 3) hit points, NaN for none; cols: (M,) `WallTable`
+        column of each hit wall. The candidates are the units of the 3 x 3
+        cells around the point's cell on its wall, by distance. Any other
+        unit of that wall lies 1.5 d_r or more away, as units sit at their
+        cells' centers; a unit of another wall lies inside that wall's
+        rectangle, padded by `limits`. The list stops at the first candidate
+        whose distance does not beat the next one's and both bounds by a
+        margin of 1e-9 (1 + |p|^2), which no rounding of the distances
+        reaches, so ties and near-ties end it.
+        """
+        w = len(self.n_u)
+        local = (points @ self.axes).reshape(len(points), w, 3) - self.origin    # (M, W, 3)
+        gap = (np.maximum(np.abs(local) - self.limits, 0.0) ** 2).sum(axis=2)
+        gap[:, self.n_u == 0] = np.inf                # walls without units
+        at = np.arange(len(points))
+        gap[at, cols] = np.inf
+        d_r = self.d_r
+        # (1.5 d_r)^2 less slack: the hit wall's units outside the 3 x 3 block
+        bound = np.minimum(gap.min(axis=1, initial=np.inf), 2.0 * d_r * d_r)[:, None]
+        n_u, n_v, start = self.n_u[cols][:, None], self.n_v[cols][:, None], self.start[cols][:, None]
+        iu = np.floor((local[at, cols, 0] - self.u0[cols]) / d_r)[:, None] + _BLOCK_U
+        iv = np.floor((local[at, cols, 1] - self.v0[cols]) / d_r)[:, None] + _BLOCK_V
+        inside = (iu >= 0) & (iu < n_u) & (iv >= 0) & (iv < n_v)
+        block = np.where(inside, self.rows[np.where(inside, start + iv * n_u + iu, 0).astype(int)],
+                         -1)
+        diff = self.centers[block] - points[:, None, :]
+        d2 = np.where(block >= 0, np.vecdot(diff, diff), np.inf)       # (M, 9)
+        order = np.argsort(d2, axis=1, kind="stable")
+        block = np.take_along_axis(block, order, axis=1)
+        d2 = np.take_along_axis(d2, order, axis=1)
+        beaten = np.minimum(np.concatenate([d2[:, 1:], bound], axis=1), bound)
+        guard = 1e-9 * (1.0 + np.vecdot(points, points))[:, None]
+        sure = np.logical_and.accumulate(d2 + guard < beaten, axis=1).sum(axis=1)
+        return [row[:n] for row, n in zip(block.tolist(), sure.tolist())]
+
 
 
 class PweGraph:

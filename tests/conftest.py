@@ -38,14 +38,17 @@ def ris_on_wall(wall, u, v):
 
 
 def tiled_ris(walls, d_r, openings=()):
-    """`Scene` RIS keywords for `tile_wall` grids on `walls`, in wall order."""
+    """`Scene` RIS keywords for `tile_wall` grids on `walls`, in wall order;
+    `ris_grid` gives the scene their cell table."""
     per_wall = [tile_wall(w, d_r, openings=openings) for w in walls]
     return dict(ris_centers=np.concatenate(per_wall),
-                ris_walls=np.repeat([w.id for w in walls], [len(c) for c in per_wall]))
+                ris_walls=np.repeat([w.id for w in walls], [len(c) for c in per_wall]),
+                ris_grid=(d_r, 0.0))
 
 
 def rotate_scene(scene, R):
-    """`scene` rotated rigidly by the orthogonal matrix R; ids unchanged."""
+    """`scene` rotated rigidly by the orthogonal matrix R; ids unchanged.
+    `ris_grid` is in wall coordinates, so it carries over as it is."""
     def rw(w):
         return WallPlane(id=w.id, p0=R @ w.p0, n=R @ w.n,
                          u_axis=R @ w.u_axis, v_axis=R @ w.v_axis,
@@ -57,7 +60,7 @@ def rotate_scene(scene, R):
                       boresight=R @ np.asarray(scene.rx.boresight, float))
     return Scene(walls=[rw(w) for w in scene.walls], openings=list(scene.openings),
                  ris_centers=ris, ris_walls=scene.ris_walls,
-                 tx=R @ np.asarray(scene.tx, float), rx=rx)
+                 tx=R @ np.asarray(scene.tx, float), rx=rx, ris_grid=scene.ris_grid)
 
 
 @pytest.fixture

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from pwesim.experiment import ExperimentConfig, build_scene, run_cell, sample_wavefront
+from pwesim import routing
+from pwesim.experiment import (ExperimentConfig, SceneParams, build_scene, run_cell,
+                               sample_wavefront)
 from pwesim.geometry import AntennaArray, Aperture, WallPlane, unit
 from pwesim.routing import NO_HIT, WavefrontSpec, deviation_angle, get_routes
 from pwesim.scene import Scene, bfs_shortest_path, build_graph
@@ -300,3 +304,106 @@ class TestSelectLastRis:
         near1 = np.array([3.0, 2.0, 3.0])
         assert select_last_ris(near1, [0, 1], 0, graph) == 1
         assert select_last_ris(near1, [], 0, graph) is None
+
+
+def route_key(routes):
+    return ([(r.antenna_index, r.last_ris_id, r.path, r.phi_deg) for r in routes.routes],
+            routes.failures)
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Counts the full-scan `nearest_ris` claims `get_routes` makes."""
+    calls = []
+
+    def counting(point, centers, available):
+        calls.append(1)
+        return nearest_ris(point, centers, available)
+
+    nearest_ris = routing.nearest_ris
+    monkeypatch.setattr(routing, "nearest_ris", counting)
+    return calls
+
+
+class TestCellClaim:
+    """The claim from `RisCells.candidates` is the full scan's unit, always."""
+
+    def assert_like_full_scan(self, scene, trials, seed, scans):
+        graph = build_graph(scene)
+        no_cells = replace(scene, ris_grid=None)      # every claim a full scan
+        claims = 0
+        for ss in np.random.SeedSequence(seed).spawn(trials):
+            hits = []
+            spec = sample_wavefront(scene, np.random.default_rng(ss), hits)
+            fast = get_routes(scene, graph, spec, hits=hits)
+            claims += len(hits)
+            before = len(scans)
+            assert route_key(fast) == route_key(get_routes(no_cells, graph, spec, hits=hits))
+            assert len(scans) - before == len(hits)
+            del scans[before:]
+        assert len(scans) < claims / 2     # the cell claim served most of them
+
+    @pytest.mark.parametrize("d_r, m_side", [(0.15, 4), (0.2, 8), (0.55, 10)])
+    def test_default_cells(self, d_r, m_side, scans):
+        self.assert_like_full_scan(build_scene(SceneParams(), d_r, m_side), 3, 7, scans)
+
+    def test_rotated_rooms(self, rng, scans):
+        R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        rot = rotate_scene(build_scene(SceneParams(), 0.45, 4), R)
+        assert rot.ris_cells is not None
+        self.assert_like_full_scan(rot, 10, 3, scans)
+
+    def test_cell_edge_tie_takes_smaller_id(self, scans):
+        # 1 m cells on the ceiling; the hit point lies on the shared edge of
+        # cells 9 and 10 (row 2, columns 1 and 2), equidistant from both
+        walls = box_walls((4, 4, 3))
+        scene = Scene(walls=walls, openings=[], **tiled_ris([walls[1]], 1.0),
+                      tx=(1.0, 1.0, 1.0), rx=single_antenna_array((2.0, 2.5, 1.5)))
+        point = np.array([[2.0, 2.5, 3.0]])
+        centers = scene.ris_centers
+        assert np.linalg.norm(centers[9] - point) == np.linalg.norm(centers[10] - point)
+        assert scene.ris_cells.candidates(point, np.array([1])) == [[]]
+        routes = get_routes(scene, build_graph(scene), WavefrontSpec(doas=[(0.0, 0.0, 1.0)]))
+        assert [r.last_ris_id for r in routes.routes] == [9]
+        assert len(scans) == 1
+        # a hair inside cell 10, it comes first, then cell 9
+        assert scene.ris_cells.candidates(point + (1e-3, 0.0, 0.0), np.array([1])) == [[10, 9]]
+
+    def test_every_center_is_its_own_first_candidate(self):
+        scene = build_scene(SceneParams(), 0.25, 2)
+        cols = np.searchsorted(scene.wall_table.ids, scene.ris_walls)
+        got = scene.ris_cells.candidates(scene.ris_centers, cols)
+        assert [c[0] for c in got] == list(range(len(scene.ris_centers)))
+
+    def test_off_lattice_units_route_as_reference(self, rng, scans):
+        # units at random wall points: no grid, so every claim is a full scan
+        walls = box_walls((5, 4, 3))
+        on = [walls[1], walls[3], walls[5]]
+        ris = [ris_on_wall(w, rng.uniform(-0.9, 0.9) * w.u_extent,
+                           rng.uniform(-0.9, 0.9) * w.v_extent) for w in on for _ in range(8)]
+        scene = Scene(walls=walls, openings=[], ris_centers=ris,
+                      ris_walls=[w.id for w in on for _ in range(8)],
+                      tx=(1.0, 3.0, 1.5), rx=grid_array((2.5, 1.0, 1.2), 3))
+        assert scene.ris_cells is None
+        graph = build_graph(scene)
+        claims = 0
+        for _ in range(5):
+            spec = WavefrontSpec(doas=[unit(rng.normal(size=3)) for _ in range(scene.rx.m)])
+            got = get_routes(scene, graph, spec)
+            expected = reference_get_routes(scene, spec)
+            claims += sum(rid != NO_HIT for rid, _, _ in expected)
+            assert got.failures == tuple((i, rid) for i, (rid, _, _) in enumerate(expected)
+                                         if isinstance(rid, str))
+            for r in got.routes:
+                rid, path, phi = expected[r.antenna_index]
+                assert (r.last_ris_id, r.path) == (rid, path)
+                assert r.phi_deg == pytest.approx(phi, abs=1e-9)
+        assert len(scans) == claims
+
+
+def test_full_scan_is_rare_on_a_default_cell(scans):
+    # guard: the cell claim must not silently switch off (it serves ~94% here)
+    result = run_cell(ExperimentConfig(d_r_values=(0.15,), m_sides=(4,), n_trials=10), 0.15, 4)
+    claims = len(result.records) + result.report.n_failures
+    assert claims == 160
+    assert len(scans) <= 0.15 * claims

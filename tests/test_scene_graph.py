@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pwesim.experiment import SceneParams, build_scene
-from pwesim.geometry import Aperture, WallPlane
+from pwesim.geometry import Aperture, WallPlane, grid_cells
 from pwesim.scene import PweGraph, Scene, SceneError, bfs_shortest_path, build_graph
 
 from conftest import box_walls, ris_on_wall, rotate_scene, single_antenna_array
@@ -146,6 +146,15 @@ class TestSceneChecks:
         with pytest.raises(SceneError, match="RIS 0 center is off"):
             replace(scene, ris_centers=scene.ris_centers + (0.0, 0.0, -0.1))
 
+    def test_center_outside_host_wall(self):
+        scene = one_room_scene()
+        ceiling = scene.walls[1]
+        corner = ris_on_wall(ceiling, ceiling.u_extent, -ceiling.v_extent)
+        replace(scene, ris_centers=[corner])          # on the edge: still on the wall
+        for u, v in ((50.0, 0.0), (0.0, -ceiling.v_extent - 1e-6)):
+            with pytest.raises(SceneError, match="RIS 0 center lies outside its host wall"):
+                replace(scene, ris_centers=[ris_on_wall(ceiling, u, v)])
+
     def test_unknown_host_wall(self):
         scene = one_room_scene()
         with pytest.raises(SceneError, match="RIS 0 names no wall"):
@@ -165,6 +174,38 @@ class TestSceneChecks:
         for a in (scene.ris_centers, scene.ris_walls):
             with pytest.raises(ValueError):
                 a[0] = 0
+
+
+class TestRisCells:
+    """`Scene.ris_grid` gives the scene its cell -> RIS row table."""
+
+    def test_each_center_maps_to_its_row(self):
+        scene = build_scene(SceneParams(), 0.3, 2)
+        cells, t = scene.ris_cells, scene.wall_table
+        col = np.searchsorted(t.ids, scene.ris_walls)
+        rel = scene.ris_centers - t.p0[col]
+        iu = np.floor((np.vecdot(rel, t.u_axis[col]) - cells.u0[col]) / cells.d_r).astype(int)
+        iv = np.floor((np.vecdot(rel, t.v_axis[col]) - cells.v0[col]) / cells.d_r).astype(int)
+        got = cells.rows[cells.start[col] + iv * cells.n_u[col] + iu]
+        assert got.tolist() == list(range(len(scene.ris_centers)))
+        # the doorway's skipped cells are the only empty ones
+        _, _, keep = grid_cells(scene.walls[0], 0.3, 0.0, scene.openings)
+        assert len(cells.rows) == (cells.n_u * cells.n_v).sum()
+        assert (cells.rows < 0).sum() == (~keep).sum() > 0
+        assert (cells.n_u > 0).tolist() == [True] * 9 + [False] * 2
+
+    def test_no_grid_no_table(self):
+        assert one_room_scene().ris_cells is None
+
+    @pytest.mark.parametrize("grid, shift", [((0.4, 0.0), 0.0), ((0.5, 0.0), 1e-6),
+                                             ((0.5, 0.3), 0.0)])
+    def test_centers_off_the_grid_rejected(self, grid, shift):
+        scene = build_scene(SceneParams(), 0.5, 2)
+        centers = scene.ris_centers.copy()
+        centers[scene.ris_walls == 0, 1] += shift     # in the divider's plane
+        replace(scene, ris_centers=centers, ris_grid=None)    # fine without a grid
+        with pytest.raises(SceneError, match="RIS units on wall 0 are not its d_r"):
+            replace(scene, ris_centers=centers, ris_grid=grid)
 
 
 class TestBfs:
