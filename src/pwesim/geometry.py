@@ -171,27 +171,29 @@ def ray_wall_point(points, dirs, table):
 
 
 def segments_clear_batch(a, bs, walls, openings=()):
-    """Segment test from one origin to many endpoints, vectorized.
+    """Segment test from one origin, or a stack of origins, to many endpoints.
 
-    a: (3,) origin; bs: (N, 3) endpoints. Returns a bool array of length N,
-    True where the open segment (a, b) crosses no wall outside an opening.
+    a: (3,) origin or (L, 1, 3) origins; bs: (N, 3) endpoints. Returns a bool
+    (N,) or (L, N) array, True where the open segment (a, b) crosses no wall
+    outside an opening. Each origin's row equals its own (N,) call bit for
+    bit: the (N, 3) products stay stacked per origin, and `np.vecdot` rounds
+    the plane term like the scalar dot.
     """
     a = np.asarray(a, dtype=float)
     bs = np.asarray(bs, dtype=float)
-    if bs.size == 0:
-        return np.zeros(0, dtype=bool)
-    ab = bs - a                                  # (N, 3)
-    lengths = np.linalg.norm(ab, axis=1)
-    clear = np.ones(len(bs), dtype=bool)
+    ab = bs - a                                  # (N, 3) or (L, N, 3)
+    lengths = np.linalg.norm(ab, axis=-1)
+    clear = np.ones(ab.shape[:-1], dtype=bool)
     for wall in walls:
-        denom = ab @ wall.n                      # (N,)
+        denom = ab @ wall.n                      # (N,) or (L, N)
         crossing = np.abs(denom) >= PARALLEL_EPS
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(crossing, ((wall.p0 - a) @ wall.n) / np.where(crossing, denom, 1.0), 0.0)
+            t = np.where(crossing, np.vecdot(wall.p0 - a, wall.n) / np.where(crossing, denom, 1.0),
+                         0.0)
         interior = crossing & (t * lengths >= ENDPOINT_EPS) & ((1.0 - t) * lengths >= ENDPOINT_EPS)
         if not interior.any():
             continue
-        p = a + t[:, None] * ab                  # (N, 3)
+        p = a + t[..., None] * ab
         du = (p - wall.p0) @ wall.u_axis
         dv = (p - wall.p0) @ wall.v_axis
         on_wall = interior & (np.abs(du) <= wall.u_extent + EXTENT_SLACK) \

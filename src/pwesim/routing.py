@@ -7,14 +7,17 @@ realized DoA is the unit vector from the antenna to the chosen RIS center,
 which puts both vectors in the same convention and makes the collinear case
 give exactly zero deviation.
 
-The claims run antenna by antenna, because a claimed RIS leaves the pool;
-the realized DoAs and angles after them are computed for all antennas of a
-spec at once. A claim is the nearest free unit the antenna sees, by the full
-scan `nearest_ris`, unless a cheaper test proves the answer first: one
-broadcast per spec (`RisCells.candidates`) ranks the units of the 3 x 3 grid
-cells around each hit point, as far as bounds on every other unit prove
-that ranking, and an antenna takes the first free visible unit of its
-ranking. Only an antenna whose ranking runs out scans every unit.
+The claims run antenna by antenna, because a claimed RIS leaves the pool.
+No claim depends on a path (an unreachable unit stays claimed), so the paths
+come after all claims, in one `PweGraph.min_hop_paths` call; the realized
+DoAs and angles are computed for all antennas of a spec at once.
+
+A claim is the nearest free unit the antenna sees, by the full scan
+`nearest_ris`, unless a cheaper test proves the answer first: one broadcast
+per spec (`RisCells.candidates`) ranks the units of the 3 x 3 grid cells
+around each hit point, as far as bounds on every other unit prove that
+ranking, and an antenna takes the first free visible unit of its ranking.
+Only an antenna whose ranking runs out scans every unit.
 """
 
 from dataclasses import dataclass
@@ -79,17 +82,18 @@ def nearest_ris(point, centers, available):
 
 
 def get_routes(scene, graph, spec, hits=None):
-    """Run the wavefront routing algorithm for every antenna in index order.
+    """Run the wavefront routing algorithm: claims first, then one path step.
 
-    Each antenna traces its desired ray to a wall point, claims the nearest
-    LoS RIS (removed from the pool afterwards), and gets a minimum-hop
-    Tx -> ... -> lastRIS path whose hops are RIS units only. The claim is
-    the first free visible unit among the point's `RisCells.candidates`, and
-    the full scan `nearest_ris` where there is none; both give the same
-    unit, smallest id first on ties.
-    Per-antenna failures are recorded, never fatal. Paths come from
-    `graph.min_hop_path`, which memoizes them, so calls that share one graph
-    (the trials of one scene) search each lastRIS's path once.
+    In index order, each antenna traces its desired ray to a wall point and
+    claims the nearest LoS RIS (removed from the pool, even when no path
+    reaches it). The claim is the first free visible unit among the
+    point's `RisCells.candidates`, and the full scan `nearest_ris` where
+    there is none; both give the same unit, smallest id first on ties.
+    Then each claimed unit gets a minimum-hop Tx -> ... -> lastRIS path whose
+    hops are RIS units only, all from one `graph.min_hop_paths` call, which
+    memoizes them, so calls that share one graph (the trials of one scene)
+    search each lastRIS's path once.
+    Per-antenna failures are recorded in antenna order, never fatal.
 
     hits, when given, holds ray_wall_point's (point, wall_id) or None per
     antenna, already traced (as sample_wavefront does), so the rays are not
@@ -108,7 +112,7 @@ def get_routes(scene, graph, spec, hits=None):
     cells = scene.ris_cells
     near = [()] * len(hits) if cells is None else cells.candidates(points.reshape(-1, 3), cols)
     free = np.ones(graph.n_ris, dtype=bool)
-    routed, rows, paths = [], [], []    # antenna, claimed RIS row, Tx path
+    claims = []    # (antenna, claimed RIS row)
     failures = []
     for i, hit in enumerate(hits):
         if hit is None:
@@ -122,13 +126,16 @@ def get_routes(scene, graph, spec, hits=None):
             failures.append((i, NO_CANDIDATE))
             continue
         free[j] = False
-        path = graph.min_hop_path(graph.ris_vertex(j))
+        claims.append((i, j))
+    routed, rows, paths = [], [], []    # antenna, claimed RIS row, Tx path
+    for (i, j), path in zip(claims, graph.min_hop_paths([graph.ris_vertex(j) for _, j in claims])):
         if path is None:
             failures.append((i, UNREACHABLE))
             continue
         routed.append(i)
         rows.append(j)
         paths.append(path)
+    failures.sort()
     realized = unit(centers[rows] - antennas[routed])
     phis = deviation_angle(spec.doas[routed], realized).tolist()
     routes = tuple(Route(antenna_index=i, last_ris_id=j, path=path,

@@ -15,11 +15,14 @@ vertices: antenna i's visibility is `PweGraph.antenna_row(i)`, one bool per
 RIS id. Rows are computed lazily (vectorized over all endpoints) and cached,
 so large scenes stay tractable.
 
-The Tx -> lastRIS path rule is `PweGraph.min_hop_path`: the direct edge when
-Tx sees lastRIS, else [Tx, u, lastRIS] with u the smallest RIS vertex visible
-from both, else `bfs_shortest_path` (also the test oracle) from lastRIS. It
-returns exactly what that BFS returns, reversed, and is memoized per lastRIS
-on the graph, so one graph per scene shares its paths across trials.
+The Tx -> lastRIS path rule is `PweGraph.min_hop_paths`, for a list of
+lastRIS at once: the direct edge when Tx sees lastRIS, else [Tx, u, lastRIS]
+with u the smallest RIS vertex visible from both, else `bfs_shortest_path`
+(also the test oracle) from lastRIS. The middle hops of all the list's
+lastRIS are searched together, one (L x PATH_CHUNK) segment test per chunk
+of Tx-visible units. It returns exactly what that BFS returns, reversed, and
+is memoized per lastRIS on the graph, so one graph per scene shares its
+paths across trials.
 """
 
 from collections import deque
@@ -31,8 +34,8 @@ from .geometry import AntennaArray, WallTable, grid_cells, segments_clear_batch
 
 
 # Tx-visible RIS tested per segments_clear_batch call when looking for the
-# middle hop of a two-hop path; the search stops at the first chunk with a
-# clear segment instead of testing every Tx-visible RIS
+# middle hops of two-hop paths; a lastRIS's search stops at the first chunk
+# with a clear segment instead of testing every Tx-visible RIS
 PATH_CHUNK = 64
 # a RIS center may lie this far off its host wall's plane, meters
 PLANE_TOL = 1e-9
@@ -236,33 +239,38 @@ class PweGraph:
                                          self.positions[v][None, :],
                                          self.scene.walls, self.scene.openings)[0])
 
-    def min_hop_path(self, last):
-        """Minimum-hop Tx -> `last` path as a vertex tuple, Tx first, or None.
+    def min_hop_paths(self, lasts):
+        """Minimum-hop Tx -> last path per vertex of `lasts`, in order: a
+        vertex tuple, Tx first, or None.
 
         Every vertex past Tx is a RIS unit, so only RIS units serve as hops.
         Ties resolve as in `bfs_shortest_path(self, last, tx)`: the direct
         edge if Tx sees `last`; else the smallest RIS vertex u seen by both,
-        found by testing Tx's visible RIS against `last` in ascending chunks;
-        else that BFS itself. Results, None included, are memoized per `last`.
+        found by testing Tx's visible RIS in ascending chunks against every
+        `last` still without one at once; else that BFS itself. Results,
+        None included, are memoized per `last`.
         """
-        if last not in self._paths:
-            self._paths[last] = self._search_path(last)
-        return self._paths[last]
-
-    def _search_path(self, last):
         tx = self.tx_vertex
         tx_row = self.row(tx)
-        if tx_row[last]:
-            return (tx, last)
+        new = [last for last in lasts if last not in self._paths]
+        self._paths.update((last, (tx, last)) for last in new if tx_row[last])
+        pending = [last for last in new if not tx_row[last]]
         seen_by_tx = np.flatnonzero(tx_row)
         for lo in range(0, len(seen_by_tx), PATH_CHUNK):
+            if not pending:
+                break
             chunk = seen_by_tx[lo:lo + PATH_CHUNK]
-            clear = segments_clear_batch(self.positions[last], self.positions[chunk],
+            clear = segments_clear_batch(self.positions[pending][:, None, :], self.positions[chunk],
                                          self.scene.walls, self.scene.openings)
-            if clear.any():
-                return (tx, int(chunk[np.argmax(clear)]), last)
-        found = bfs_shortest_path(self, last, tx)
-        return None if found is None else tuple(reversed(found))
+            cleared = clear.any(axis=1).tolist()
+            hops = chunk[clear.argmax(axis=1)].tolist()
+            self._paths.update((last, (tx, hop, last))
+                               for last, hop, ok in zip(pending, hops, cleared) if ok)
+            pending = [last for last, ok in zip(pending, cleared) if not ok]
+        for last in pending:
+            found = bfs_shortest_path(self, last, tx)
+            self._paths[last] = None if found is None else tuple(reversed(found))
+        return [self._paths[last] for last in lasts]
 
     def neighbors(self, v):
         """Neighbor indices of v in ascending order."""

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from pwesim.experiment import SceneParams, build_scene
 from pwesim.geometry import (Aperture, WallPlane, WallTable, ray_wall_point,
                              segments_clear_batch, tile_wall, trace_walls, unit)
+from pwesim.scene import PATH_CHUNK, build_graph
 
-from conftest import box_walls
+from conftest import box_walls, rotate_scene
 from oracles import _ref_hit_point, local_uv, ray_wall_scale, segment_clear
+from test_routing import three_room_scene
 
 
 def trace_one(ant, doa, walls, openings=()):
@@ -253,6 +255,41 @@ class TestSegmentClear:
         batch = segments_clear_batch(a, bs, walls, door)
         for b, got in zip(bs, batch):
             assert got == segment_clear(a, b, walls, door)
+
+    @pytest.mark.parametrize("which", ["default", "rotated", "three_rooms"])
+    def test_origin_stack_matches_rows_and_oracle(self, which):
+        # the path step's (L, C) call: origins are the RIS units Tx does not
+        # see, Tx, the antennas and a point behind the x = 0 wall; endpoints
+        # are the first chunk of Tx-visible units and the corners and edge
+        # midpoints of each doorway
+        if which == "three_rooms":
+            scene = three_room_scene()
+        else:
+            scene = build_scene(SceneParams(), 0.3, 2)
+        outside = np.array([-1.0, *scene.tx[1:]])
+        if which == "rotated":
+            R, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))
+            scene = rotate_scene(scene, R)
+            outside = R @ outside
+        tx_row = build_graph(scene).row(0)[1:]
+        walls = {w.id: w for w in scene.walls}
+        door_edges = [walls[op.wall_id].p0 + du * walls[op.wall_id].u_axis
+                      + dv * walls[op.wall_id].v_axis
+                      for op in scene.openings
+                      for du in (op.u_center - op.u_half, op.u_center, op.u_center + op.u_half)
+                      for dv in (op.v_center - op.v_half, op.v_center, op.v_center + op.v_half)
+                      if (du, dv) != (op.u_center, op.v_center)]
+        ends = np.vstack([scene.ris_centers[np.flatnonzero(tx_row)[:PATH_CHUNK]], door_edges])
+        origins = np.vstack([scene.ris_centers[~tx_row][::3], scene.tx, scene.rx.antennas,
+                             outside])
+        got = segments_clear_batch(origins[:, None, :], ends, scene.walls, scene.openings)
+        assert got.shape == (len(origins), len(ends))
+        rows = [segments_clear_batch(a, ends, scene.walls, scene.openings) for a in origins]
+        np.testing.assert_array_equal(got, rows)
+        for a, row in zip(origins, got):
+            assert row.tolist() == [segment_clear(a, b, scene.walls, scene.openings)
+                                    for b in ends]
+        assert (~got[:, :-len(door_edges)]).all(axis=1).any()   # an origin that sees no unit
 
 
 class TestTileWall:

@@ -6,12 +6,14 @@ import pytest
 from pwesim import routing
 from pwesim.experiment import (ExperimentConfig, SceneParams, build_scene, run_cell,
                                sample_wavefront)
-from pwesim.geometry import AntennaArray, Aperture, WallPlane, unit
-from pwesim.routing import NO_HIT, WavefrontSpec, deviation_angle, get_routes
-from pwesim.scene import Scene, bfs_shortest_path, build_graph
+from pwesim.geometry import AntennaArray, Aperture, WallPlane, segments_clear_batch, unit
+from pwesim.routing import (NO_CANDIDATE, NO_HIT, UNREACHABLE, WavefrontSpec, deviation_angle,
+                            get_routes)
+from pwesim.scene import PATH_CHUNK, Scene, bfs_shortest_path, build_graph
 
 from conftest import box_walls, ris_on_wall, rotate_scene, single_antenna_array, tiled_ris
 from oracles import reference_get_routes, scalar_deviation, select_last_ris
+from test_scene_graph import two_room_scene
 
 
 def grid_array(center, m_side, spacing=0.05):
@@ -257,12 +259,83 @@ class TestAgainstReference:
     def test_three_rooms_min_hop_path_matches_bfs(self):
         graph = build_graph(three_room_scene())
         lengths = set()
-        for last in range(1, 1 + graph.n_ris):
+        lasts = list(range(1, 1 + graph.n_ris))
+        for last, path in zip(lasts, graph.min_hop_paths(lasts)):
             oracle = bfs_shortest_path(graph, last, graph.tx_vertex)
-            path = graph.min_hop_path(last)
             assert path == tuple(reversed(oracle))
             lengths.add(len(path))
         assert lengths == {2, 3, 4}
+
+
+class TestPathStep:
+    """`get_routes` claims for every antenna first, then looks up all the
+    claimed units' paths in one `PweGraph.min_hop_paths` call."""
+
+    def test_failures_stay_in_antenna_order(self):
+        # doorless rooms, the divider unit removed: antenna 0 lies outside
+        # and misses every wall, antenna 1 claims the cut-off room-2 unit,
+        # and antenna 2 finds that unit taken
+        scene = two_room_scene(with_door=False)
+        keep = [0, 1, 3]
+        rx = AntennaArray(antennas=[(20.0, 2.0, 1.5), (7.0, 2.0, 1.5), (7.0, 2.5, 1.5)],
+                          rows=1, cols=3, boresight=(1.0, 0, 0))
+        scene = replace(scene, ris_centers=scene.ris_centers[keep],
+                        ris_walls=scene.ris_walls[keep], rx=rx)
+        spec = WavefrontSpec(doas=[(1.0, 0, 0)] * 3)
+        routes = get_routes(scene, build_graph(scene), spec)
+        assert routes.failures == ((0, NO_HIT), (1, UNREACHABLE), (2, NO_CANDIDATE))
+        assert not routes.routes
+
+    def test_batch_mixes_every_kind_of_path(self):
+        # the three rooms plus a closed closet beyond them, whose one unit no
+        # other vertex sees
+        scene = three_room_scene()
+        closet = [replace(w, id=8 + w.id, p0=w.p0 + (20.0, 0, 0)) for w in box_walls((1, 1, 1))]
+        scene = replace(scene, walls=scene.walls + closet,
+                        ris_centers=np.vstack([scene.ris_centers, ris_on_wall(closet[5], 0, 0)]),
+                        ris_walls=np.append(scene.ris_walls, closet[5].id), ris_grid=None)
+        graph = build_graph(scene)
+        lasts = list(range(1, 1 + graph.n_ris))
+        expected = []
+        for last in lasts:
+            found = bfs_shortest_path(graph, last, graph.tx_vertex)
+            expected.append(None if found is None else tuple(reversed(found)))
+        graph = build_graph(scene)
+        memo = lasts[::4]
+        assert graph.min_hop_paths(memo) == [expected[v - 1] for v in memo]
+        got = graph.min_hop_paths(lasts[::-1])
+        assert got == expected[::-1]
+        assert {None if path is None else len(path) for path in got} == {2, 3, 4, None}
+        assert graph.min_hop_paths(lasts[::-1]) == got
+
+    def test_one_path_search_per_trial(self, monkeypatch):
+        # a path search tests at most PATH_CHUNK endpoints; a visibility row
+        # tests every unit
+        sizes = []
+
+        def counting(a, bs, *args):
+            sizes.append(len(bs))
+            return segments_clear_batch(a, bs, *args)
+
+        monkeypatch.setattr("pwesim.scene.segments_clear_batch", counting)
+        scene = build_scene(SceneParams(), 0.15, 8)
+        graph = build_graph(scene)
+        first_chunk = set(np.flatnonzero(graph.row(graph.tx_vertex))[:PATH_CHUNK].tolist())
+        assert graph.n_ris > PATH_CHUNK
+        seen, searched = set(), 0
+        for ss in np.random.SeedSequence(0).spawn(3):
+            hits = []
+            spec = sample_wavefront(scene, np.random.default_rng(ss), hits)
+            del sizes[:]
+            routes = get_routes(scene, graph, spec, hits=hits)
+            new = {r.path for r in routes.routes if r.path[-1] not in seen}
+            seen.update(path[-1] for path in new)
+            searched += sum(len(path) > 2 for path in new)
+            misses = sum(len(path) > 3 or path[1] not in first_chunk for path in new
+                         if len(path) > 2)
+            misses += sum(why == UNREACHABLE for _, why in routes.failures)
+            assert sum(n <= PATH_CHUNK for n in sizes) <= 1 + misses
+        assert searched > 3 * 3      # one call per memo miss would exceed the bound
 
 
 class TestRotationInvariance:

@@ -295,9 +295,10 @@ class TestMinHopPath:
     @pytest.mark.parametrize("d_r, m_side", [(0.5, 4), (0.2, 8)])
     def test_matches_bfs_oracle_on_default_scene(self, d_r, m_side):
         g = build_graph(build_scene(SceneParams(), d_r, m_side))
-        for last in range(1, 1 + g.n_ris):
+        lasts = list(range(1, 1 + g.n_ris))
+        for last, path in zip(lasts, g.min_hop_paths(lasts)):
             oracle = bfs_shortest_path(g, last, g.tx_vertex)
-            assert g.min_hop_path(last) == tuple(reversed(oracle))
+            assert path == tuple(reversed(oracle))
 
     def test_unreachable_is_none(self):
         # no doorway and no divider unit: the room-2 unit is cut off
@@ -307,4 +308,4 @@ class TestMinHopPath:
                                 ris_walls=scene.ris_walls[keep]))
         last = g.ris_vertex(2)
         assert bfs_shortest_path(g, last, g.tx_vertex) is None
-        assert g.min_hop_path(last) is None
+        assert g.min_hop_paths([last]) == [None]
