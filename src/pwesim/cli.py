@@ -35,6 +35,13 @@ EXIT_IO = 3
 _KEY_TYPES = {f.name: f.type for cls in (SceneParams, ExperimentConfig)
               for f in fields(cls) if f.name != "scene"}
 _SCENE_KEYS = {f.name for f in fields(SceneParams)}
+# the sweep's output tables, in writing order, and their header lines
+_CSV_HEADERS = {
+    "deviations.csv": "d_r,m_side,trial,antenna_index,phi_deg,last_ris_id,path_len",
+    "fits.csv": "d_r,m_side,n_samples,n_failures,k_hat,theta_hat,sigma_hat,kld_gamma,"
+                "kld_rayleigh,loglik_gamma,loglik_rayleigh",
+    "histograms.csv": "d_r,m_side,bin_left,bin_right,count,density",
+}
 
 
 class ConfigError(Exception):
@@ -118,21 +125,17 @@ def load_config(path, seed_override=None):
     return config_from_raw(parse_config_text(text), seed_override)
 
 
-def _fmt(x):
-    """Shortest round-trip representation for CSV cells."""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def _csv_row(values):
+    """One CSV line of Python ints and floats; str of a float is its repr."""
+    return ",".join(map(str, values))
 
 
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(c) for c in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-def _sha256(path):
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _write_csv(path, lines):
+    """Write the lines to path; returns the sha256 hex digest of the bytes
+    written."""
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _fail(message, code):
@@ -159,32 +162,20 @@ def cmd_sweep(args):
         # manifest.json is written last, so it exists only beside a complete
         # run; drop a previous run's before any CSV is replaced
         (out / "manifest.json").unlink(missing_ok=True)
-        dev_rows = []
-        fit_rows = []
-        hist_rows = []
+        lines = {name: [header] for name, header in _CSV_HEADERS.items()}
         for res in results:
             rep = res.report
-            for trial, ant, phi, last_ris, path_len in res.records:
-                dev_rows.append((rep.d_r, rep.m_side, trial, ant, phi, last_ris, path_len))
-            fit_rows.append((rep.d_r, rep.m_side, rep.n_samples, rep.n_failures,
-                             rep.gamma.k_hat, rep.gamma.theta_hat,
-                             rep.rayleigh.sigma_hat, rep.kld_gamma, rep.kld_rayleigh,
-                             rep.gamma.log_likelihood, rep.rayleigh.log_likelihood))
+            cell = f"{rep.d_r!r},{rep.m_side},"
+            lines["deviations.csv"].extend(cell + _csv_row(record) for record in res.records)
+            lines["fits.csv"].append(cell + _csv_row((
+                rep.n_samples, rep.n_failures, rep.gamma.k_hat, rep.gamma.theta_hat,
+                rep.rayleigh.sigma_hat, rep.kld_gamma, rep.kld_rayleigh,
+                rep.gamma.log_likelihood, rep.rayleigh.log_likelihood)))
             hist = make_histogram(res.dataset, config.n_bins)
-            for i in range(len(hist.counts)):
-                hist_rows.append((rep.d_r, rep.m_side,
-                                  float(hist.bin_edges[i]), float(hist.bin_edges[i + 1]),
-                                  int(hist.counts[i]), float(hist.densities[i])))
-        _write_csv(out / "deviations.csv",
-                   ["d_r", "m_side", "trial", "antenna_index", "phi_deg",
-                    "last_ris_id", "path_len"], dev_rows)
-        _write_csv(out / "fits.csv",
-                   ["d_r", "m_side", "n_samples", "n_failures", "k_hat", "theta_hat",
-                    "sigma_hat", "kld_gamma", "kld_rayleigh", "loglik_gamma",
-                    "loglik_rayleigh"], fit_rows)
-        _write_csv(out / "histograms.csv",
-                   ["d_r", "m_side", "bin_left", "bin_right", "count", "density"],
-                   hist_rows)
+            edges = hist.bin_edges.tolist()
+            lines["histograms.csv"].extend(cell + _csv_row(bin_) for bin_ in zip(
+                edges, edges[1:], hist.counts.tolist(), hist.densities.tolist()))
+        digests = {name: _write_csv(out / name, rows) for name, rows in lines.items()}
         manifest = {
             "tool": "pwesim",
             "version": __version__,
@@ -198,8 +189,7 @@ def cmd_sweep(args):
             },
             "started": started,
             "finished": datetime.now(timezone.utc).isoformat(),
-            "files": {name: _sha256(out / name)
-                      for name in ("deviations.csv", "fits.csv", "histograms.csv")},
+            "files": digests,
         }
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
                                            encoding="utf-8")

@@ -56,9 +56,12 @@ class SceneParams:
     ris_margin: float = 0.0
 
     def __post_init__(self):
-        for key in ("room_length", "room_width", "room_height"):
+        for key in ("room_length", "room_width", "room_height", "rx_spacing"):
             if getattr(self, key) <= 0:
                 raise ValueError(f"{key} must be positive")
+        for key in ("door_width", "door_height", "ris_margin"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -176,7 +179,7 @@ def build_scene(params, d_r, m_side):
     antennas = (center + dy * ey + dz * ez).reshape(-1, 3)
     rx = AntennaArray(antennas=antennas, rows=m_side, cols=m_side, boresight=-ex)
     return Scene(walls=walls, openings=openings, ris_centers=ris_centers,
-                 ris_walls=ris_walls, tx=tx, rx=rx, ris_grid=(d_r, params.ris_margin))
+                 ris_walls=ris_walls, tx=tx, rx=rx, ris_grid=d_r)
 
 
 def sample_wavefront(scene, rng, hits=None):
@@ -303,7 +306,10 @@ def run_sweep(config, threads=1):
     cells = [(m, d) for m in config.m_sides for d in config.d_r_values]
     workers = min(threads, len(cells))
     if workers > 1:
-        workers = min(workers, len(os.sched_getaffinity(0)))
+        # sched_getaffinity exists only on Linux
+        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+        workers = min(workers, cores)
     if workers <= 1:
         return [run_cell(config, d, m) for m, d in cells]
     # imported here: multiprocessing adds ~20 ms to every start of the

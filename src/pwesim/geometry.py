@@ -13,6 +13,10 @@ in id order. `ray_wall_point` lists its result per ray. The trace, `norm`,
 which rounds exactly as a scalar `np.dot` of the same two vectors (einsum,
 `@` and axis sums do not), so a batched result equals the one-vector result
 bit for bit.
+
+There is one RIS tiling rule, `tile_wall`: the d_r grid centered on a wall,
+less the cells an opening overlaps. `grid_shape` counts its units before
+any is laid.
 """
 
 from dataclasses import dataclass
@@ -224,35 +228,22 @@ def grid_shape(wall, d_r, margin=0.0):
     return n_u, n_v
 
 
-def grid_cells(wall, d_r, margin=0.0, openings=()):
-    """The grid `tile_wall` lays on `wall`, in wall uv coordinates: (u_lo,
-    v_lo, keep), the (n_u,) and (n_v,) lower cell edges and the (n_v, n_u)
-    mask of the cells no opening declared on this wall overlaps.
-
-    The grid of `grid_shape` is centered on the wall; all three are empty
-    when the wall cannot host a single unit.
-    """
-    n_u, n_v = grid_shape(wall, d_r, margin)
-    u0 = -(n_u * d_r) / 2.0
-    v0 = -(n_v * d_r) / 2.0
-    u_lo = u0 + np.arange(int(n_u)) * d_r            # (n_u,)
-    v_lo = v0 + np.arange(int(n_v)) * d_r            # (n_v,)
-    keep = np.ones((int(n_v), int(n_u)), dtype=bool)
-    for op in openings:
-        if op.wall_id == wall.id:
-            keep &= ~op.overlaps_uv_rect(u_lo, u_lo + d_r, v_lo[:, None], v_lo[:, None] + d_r)
-    return u_lo, v_lo, keep
-
-
 def tile_wall(wall, d_r, margin=0.0, openings=()):
     """Centers of the maximal regular grid of d_r x d_r RIS units on the wall.
 
-    The cells are those `grid_cells` keeps. Returns an (n, 3) array in
-    row-major order (v outer, u inner); n is 0 when the wall cannot host a
-    single unit.
+    The grid of `grid_shape` is centered on the wall, and a cell that an
+    opening declared on this wall overlaps gets no unit. Returns an (n, 3)
+    array in row-major order (v outer, u inner); n is 0 when the wall cannot
+    host a single unit.
     """
-    u_lo, v_lo, keep = grid_cells(wall, d_r, margin, openings)
+    n_u, n_v = grid_shape(wall, d_r, margin)
+    u_lo = -(n_u * d_r) / 2.0 + np.arange(int(n_u)) * d_r                # (n_u,)
+    v_lo = (-(n_v * d_r) / 2.0 + np.arange(int(n_v)) * d_r)[:, None]     # (n_v, 1)
+    keep = np.ones((int(n_v), int(n_u)), dtype=bool)
+    for op in openings:
+        if op.wall_id == wall.id:
+            keep &= ~op.overlaps_uv_rect(u_lo, u_lo + d_r, v_lo, v_lo + d_r)
     uc = u_lo + d_r / 2.0
-    vc = v_lo[:, None] + d_r / 2.0
+    vc = v_lo + d_r / 2.0
     centers = wall.p0 + uc[:, None] * wall.u_axis + vc[:, :, None] * wall.v_axis
     return centers[keep]

@@ -2,18 +2,19 @@
 
 A RIS unit is a row of `Scene.ris_centers`, and its id is that row index;
 `Scene.ris_walls` holds the id of each row's host wall. A scene built with
-`ris_grid` = (d_r, margin), the arguments `tile_wall` laid its units with,
-also holds `ris_cells` (`RisCells`): the cell -> RIS row table of each
-wall's grid, which ranks the units nearest a wall point for the lastRIS
-claim.
+`ris_grid` = d_r, the pitch its units were laid at, also holds `ris_cells`
+(`RisCells`): per wall, the cell -> RIS row table of the d_r lattice through
+its units, read off their centers, which ranks the units nearest a wall
+point for the lastRIS claim.
 
 The graph's vertices are the possible hops of a path: a vertex is an index
 into `PweGraph.positions`, 0 the transmitter and 1 + j RIS j. An edge exists
 iff the open segment between the two vertex positions crosses no wall
 outside a declared opening. Antennas are never hops, so they are not
 vertices: antenna i's visibility is `PweGraph.antenna_row(i)`, one bool per
-RIS id. Rows are computed lazily (vectorized over all endpoints) and cached,
-so large scenes stay tractable.
+RIS id. The graph answers one query, `PweGraph.row(v)`: v's adjacency row,
+computed lazily (vectorized over all endpoints) and cached, so large scenes
+stay tractable.
 
 The Tx -> lastRIS path rule is `PweGraph.min_hop_paths`, for a list of
 lastRIS at once: the direct edge when Tx sees lastRIS, else [Tx, u, lastRIS]
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AntennaArray, WallTable, grid_cells, segments_clear_batch
+from .geometry import AntennaArray, WallTable, segments_clear_batch
 
 
 # Tx-visible RIS tested per segments_clear_batch call when looking for the
@@ -39,7 +40,7 @@ from .geometry import AntennaArray, WallTable, grid_cells, segments_clear_batch
 PATH_CHUNK = 64
 # a RIS center may lie this far off its host wall's plane, meters
 PLANE_TOL = 1e-9
-# a unit of a RisCells grid lies within GRID_TOL * d_r of its cell's center
+# a unit of a RisCells table lies within GRID_TOL * d_r of its lattice point
 GRID_TOL = 1e-6
 # cell offsets of the 3 x 3 block RisCells.candidates ranks, u inner
 _BLOCK_U = np.array([-1, 0, 1] * 3)
@@ -58,8 +59,8 @@ class Scene:
     ris_walls: np.ndarray      # (n_ris,), read-only copy; host wall id per row
     tx: np.ndarray
     rx: AntennaArray
-    # (d_r, margin) of the tile_wall grids that laid ris_centers, or None
-    ris_grid: tuple = None
+    # pitch d_r of the lattice ris_centers lie on, wall by wall, or None
+    ris_grid: float = None
 
     def __post_init__(self):
         self.tx = np.asarray(self.tx, dtype=float)
@@ -82,7 +83,7 @@ class Scene:
         limits = np.stack([t.u_limit, t.v_limit, np.full(len(t.ids), PLANE_TOL)], axis=1)
         cells = None
         if self.ris_grid is not None:
-            cells = RisCells(t.p0, frames, limits, self.ris_centers, *self.ris_grid)
+            cells = RisCells(t.p0, frames, limits, self.ris_centers, self.ris_grid)
         for k, wall in enumerate(self.walls):
             rows = np.flatnonzero(self.ris_walls == wall.id)
             local = (self.ris_centers[rows] - wall.p0) @ frames[k]
@@ -92,27 +93,28 @@ class Scene:
                     raise SceneError(f"RIS {rows[out[:, 2]][0]} center is off its host wall")
                 raise SceneError(f"RIS {rows[out.any(axis=1)][0]} center lies outside its host wall")
             if cells is not None and len(rows):
-                cells.add_wall(k, wall, self.openings, rows, local[:, 0], local[:, 1])
+                cells.add_wall(k, rows, local[:, 0], local[:, 1])
         self.ris_cells = cells
 
 
 class RisCells:
-    """Cell -> RIS row table of the `tile_wall` grids a scene's units lie
-    on, for `Scene.ris_grid` = (d_r, margin).
+    """Cell -> RIS row table of the d_r lattices a scene's units lie on,
+    for `Scene.ris_grid` = d_r.
 
-    Per `WallTable` column k: the grid's lower-left corner (u0[k], v0[k])
+    Per `WallTable` column k: the table's lower-left corner (u0[k], v0[k])
     in wall coordinates and its n_u[k] x n_v[k] cells of side d_r (0 x 0
-    where the wall hosts no unit); its row-major (v outer, u inner) block
-    of RIS rows, -1 for a cell an opening skips, starts at rows[start[k]].
+    where the wall hosts no unit), one unit at most at each cell's center;
+    its row-major (v outer, u inner) block of RIS rows, -1 for a cell
+    without a unit, starts at rows[start[k]].
     """
 
-    def __init__(self, p0, frames, limits, centers, d_r, margin):
+    def __init__(self, p0, frames, limits, centers, d_r):
         """p0, frames, limits: per wall, its point, the (3, 3) matrix taking
         p - p0 to (u, v, n) and the (3,) bounds on a hosted unit's |u|,
         |v|, |n|."""
         w = len(p0)
         self.centers = centers
-        self.d_r, self.margin = d_r, margin
+        self.d_r = d_r
         self.u0, self.v0 = np.zeros(w), np.zeros(w)
         self.n_u = np.zeros(w, dtype=int)
         self.n_v = np.zeros(w, dtype=int)
@@ -123,22 +125,28 @@ class RisCells:
         self.origin = (p0[:, None, :] @ frames)[:, 0]
         self.limits = limits
 
-    def add_wall(self, k, wall, openings, rows, u, v):
-        """Enter column k's grid, hosting RIS `rows` at in-plane coordinates
-        (u, v). The grid is `grid_cells`', the rule `tile_wall` lays units
-        by; SceneError unless the rows are its kept cells' centers in
-        `tile_wall`'s order."""
+    def add_wall(self, k, rows, u, v):
+        """Enter column k's table, hosting RIS `rows` at in-plane coordinates
+        (u, v). Its lattice of pitch d_r passes through the lowest u and the
+        lowest v; SceneError unless every unit lies within GRID_TOL * d_r of
+        its own lattice point, distinct from every other unit's."""
         d_r = self.d_r
-        u_lo, v_lo, keep = grid_cells(wall, d_r, self.margin, openings)
-        iv, iu = np.nonzero(keep)
+        u0, v0 = u.min(), v.min()
+        iu = np.rint((u - u0) / d_r)
+        iv = np.rint((v - v0) / d_r)
         tol = GRID_TOL * d_r
-        if (len(iu) != len(rows) or np.abs(u - u_lo[iu] - d_r / 2.0).max() > tol
-                or np.abs(v - v_lo[iv] - d_r / 2.0).max() > tol):
-            raise SceneError(f"RIS units on wall {wall.id} are not its d_r = {d_r} grid")
-        block = np.full(keep.shape, -1)
-        block[keep] = rows
-        self.u0[k], self.v0[k] = u_lo[0], v_lo[0]
-        self.n_v[k], self.n_u[k] = keep.shape
+        off = (np.abs(u - u0 - iu * d_r) > tol) | (np.abs(v - v0 - iv * d_r) > tol)
+        if off.any():
+            raise SceneError(f"RIS {rows[off][0]} is off its wall's d_r = {d_r} lattice")
+        iu, iv = iu.astype(int), iv.astype(int)
+        block = np.full((iv.max() + 1, iu.max() + 1), -1)
+        block[iv, iu] = rows
+        if np.count_nonzero(block >= 0) < len(rows):
+            lost = block[iv, iu] != rows
+            raise SceneError(f"RIS {rows[lost][0]} shares its d_r = {d_r} lattice point "
+                             f"with RIS {block[iv, iu][lost][0]}")
+        self.u0[k], self.v0[k] = u0 - d_r / 2.0, v0 - d_r / 2.0
+        self.n_v[k], self.n_u[k] = block.shape
         self.start[k] = len(self.rows)
         self.rows = np.concatenate([self.rows, block.ravel()])
 
@@ -151,8 +159,8 @@ class RisCells:
         points: (M, 3) hit points, NaN for none; cols: (M,) `WallTable`
         column of each hit wall. The candidates are the units of the 3 x 3
         cells around the point's cell on its wall, by distance. Any other
-        unit of that wall lies 1.5 d_r or more away, as units sit at their
-        cells' centers; a unit of another wall lies inside that wall's
+        unit of that wall lies 1.5 d_r or more away, as each unit sits at
+        its own cell's center; a unit of another wall lies inside that wall's
         rectangle, padded by `limits`. The list stops at the first candidate
         whose distance does not beat the next one's and both bounds by a
         margin of 1e-9 (1 + |p|^2), which no rounding of the distances
@@ -226,19 +234,6 @@ class PweGraph:
             self._rows[v] = cached
         return cached
 
-    def has_edge(self, u, v):
-        if u == v:
-            return False
-        cached = self._rows.get(u)
-        if cached is None:
-            cached = self._rows.get(v)
-            u, v = v, u
-        if cached is not None:
-            return bool(cached[v])
-        return bool(segments_clear_batch(self.positions[u],
-                                         self.positions[v][None, :],
-                                         self.scene.walls, self.scene.openings)[0])
-
     def min_hop_paths(self, lasts):
         """Minimum-hop Tx -> last path per vertex of `lasts`, in order: a
         vertex tuple, Tx first, or None.
@@ -272,10 +267,6 @@ class PweGraph:
             self._paths[last] = None if found is None else tuple(reversed(found))
         return [self._paths[last] for last in lasts]
 
-    def neighbors(self, v):
-        """Neighbor indices of v in ascending order."""
-        return np.flatnonzero(self.row(v))
-
 
 def build_graph(scene):
     """Build the LoS graph; fault if the transmitter sees no RIS unit."""
@@ -290,8 +281,9 @@ def build_graph(scene):
 def bfs_shortest_path(graph, source, target, banned=()):
     """Minimum-hop path from source to target avoiding banned vertices.
 
-    Neighbors are expanded in ascending vertex order, so ties resolve
-    deterministically. Returns the vertex list or None when unreachable.
+    `graph` answers `row(v)`, v's boolean adjacency row. Neighbors are
+    expanded in ascending vertex order, so ties resolve deterministically.
+    Returns the vertex list or None when unreachable.
     """
     if source == target:
         raise ValueError("source and target must differ")
@@ -302,20 +294,20 @@ def bfs_shortest_path(graph, source, target, banned=()):
     queue = deque([source])
     while queue:
         u = queue.popleft()
+        row = graph.row(u)
         # target adjacency is checked at dequeue time: the first dequeued
         # vertex adjacent to the target is exactly the BFS parent the
-        # ascending expansion order would pick, and this avoids computing
-        # full adjacency rows past the target's depth.
-        if graph.has_edge(u, target):
+        # ascending expansion order would pick, and only that vertex's row
+        # is computed without being expanded
+        if row[target]:
             path = [target, u]
             while parent[u] is not None:
                 u = parent[u]
                 path.append(u)
             path.reverse()
             return path
-        for v in graph.neighbors(u):
-            v = int(v)
-            if v in parent or v in banned or v == target:
+        for v in np.flatnonzero(row).tolist():
+            if v in parent or v in banned:
                 continue
             parent[v] = u
             queue.append(v)

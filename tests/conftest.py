@@ -43,12 +43,12 @@ def tiled_ris(walls, d_r, openings=()):
     per_wall = [tile_wall(w, d_r, openings=openings) for w in walls]
     return dict(ris_centers=np.concatenate(per_wall),
                 ris_walls=np.repeat([w.id for w in walls], [len(c) for c in per_wall]),
-                ris_grid=(d_r, 0.0))
+                ris_grid=d_r)
 
 
 def rotate_scene(scene, R):
     """`scene` rotated rigidly by the orthogonal matrix R; ids unchanged.
-    `ris_grid` is in wall coordinates, so it carries over as it is."""
+    `ris_grid` is a pitch in wall coordinates, so it carries over as it is."""
     def rw(w):
         return WallPlane(id=w.id, p0=R @ w.p0, n=R @ w.n,
                          u_axis=R @ w.u_axis, v_axis=R @ w.v_axis,

@@ -81,22 +81,19 @@ def _in_opening(wall, u, v, openings):
 
 
 class SimpleGraph:
-    """Explicit adjacency-set graph for tests and ad-hoc path queries."""
+    """Explicit adjacency-matrix graph for tests and ad-hoc path queries;
+    answers `row(v)` like `PweGraph`."""
 
     def __init__(self, n, edges):
-        self.vertex_count = n
-        self._adj = [set() for _ in range(n)]
+        self._adj = np.zeros((n, n), dtype=bool)
         for u, v in edges:
             if u == v:
                 raise ValueError("self loops not allowed")
-            self._adj[u].add(v)
-            self._adj[v].add(u)
+            self._adj[u, v] = self._adj[v, u] = True
 
-    def neighbors(self, v):
-        return sorted(self._adj[v])
-
-    def has_edge(self, u, v):
-        return v in self._adj[u]
+    def row(self, v):
+        """Boolean adjacency row of vertex v."""
+        return self._adj[v]
 
 
 def select_last_ris(point, candidates, antenna_index, graph):

@@ -158,6 +158,28 @@ class TestConfigBoundary:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sweep", "route"])
+    @pytest.mark.parametrize("text, key", [
+        ("ris_margin = -0.5\n", "ris_margin"),
+        ("door_width = -1.2\n", "door_width"),
+        ("door_height = -0.1\n", "door_height"),
+        ("rx_spacing = 0\n", "rx_spacing"),
+        ("rx_spacing = -0.05\n", "rx_spacing"),
+    ], ids=["margin", "door_width", "door_height", "zero_spacing", "negative_spacing"])
+    def test_negative_scene_size_exit_1(self, tmp_path, capsys, command, text, key):
+        cfg = write_config(tmp_path, SMALL_CONFIG + text)
+        out = tmp_path / "out"
+        extra = ["--spec", str(write_config(tmp_path, "[]", "spec.json"))] \
+            if command == "route" else []
+        assert main([command, "--config", str(cfg), "--out", str(out)] + extra) == 1
+        assert_one_line_error(capsys, key)
+        assert not out.exists()
+
+    def test_zero_scene_sizes_accepted(self):
+        # no margin and a zero-size doorway (a closed divider) are valid scenes
+        cfg = config_from_raw({"ris_margin": 0, "door_width": 0, "door_height": 0})
+        assert (cfg.scene.ris_margin, cfg.scene.door_width, cfg.scene.door_height) == (0, 0, 0)
+
+    @pytest.mark.parametrize("command", ["sweep", "route"])
     def test_config_not_utf8_exit_1(self, tmp_path, capsys, command):
         cfg = tmp_path / "cfg.txt"
         cfg.write_bytes(b"seed = \xff\n")

@@ -1,3 +1,4 @@
+import os
 from concurrent.futures import Future
 
 import numpy as np
@@ -409,6 +410,15 @@ class TestWorkerPool:
             [(2, 0.45), (2, 0.55), (3, 0.45), (3, 0.55)]
         for got, want in zip(cells, run_sweep(self.CFG, threads=1)):
             assert got.report == want.report and got.records == want.records
+
+    def test_workers_capped_at_cpu_count_without_affinity(self, pools, monkeypatch):
+        # os.sched_getaffinity exists only on Linux; elsewhere all cores count
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        cells = run_sweep(self.CFG, threads=8)
+        assert [p.max_workers for p in pools] == [3]
+        assert [(c.report.m_side, c.report.d_r) for c in cells] == \
+            [(2, 0.45), (2, 0.55), (3, 0.45), (3, 0.55)]
 
     def test_heaviest_cell_first(self, pools):
         run_sweep(self.CFG, threads=2)

@@ -9,7 +9,7 @@ from pwesim.experiment import (ExperimentConfig, SceneParams, build_scene, run_c
 from pwesim.geometry import AntennaArray, Aperture, WallPlane, segments_clear_batch, unit
 from pwesim.routing import (NO_CANDIDATE, NO_HIT, UNREACHABLE, WavefrontSpec, deviation_angle,
                             get_routes)
-from pwesim.scene import PATH_CHUNK, Scene, bfs_shortest_path, build_graph
+from pwesim.scene import PATH_CHUNK, PweGraph, Scene, bfs_shortest_path, build_graph
 
 from conftest import box_walls, ris_on_wall, rotate_scene, single_antenna_array, tiled_ris
 from oracles import reference_get_routes, scalar_deviation, select_last_ris
@@ -199,7 +199,7 @@ class TestGetRoutes:
             assert r.path[-1] == graph.ris_vertex(r.last_ris_id)
             assert all(1 <= v <= graph.n_ris for v in r.path[1:])
             for u, v in zip(r.path, r.path[1:]):
-                assert graph.has_edge(u, v)
+                assert graph.row(u)[v]
 
     def test_path_cache_transparent(self):
         scene = tiled_box_scene(m_side=2)
@@ -265,6 +265,42 @@ class TestAgainstReference:
             assert path == tuple(reversed(oracle))
             lengths.add(len(path))
         assert lengths == {2, 3, 4}
+
+    def test_bfs_computes_one_row_past_its_expansions(self, monkeypatch):
+        # a dequeued vertex's row answers both the target test and its
+        # expansion; only the last vertex dequeued, the target's BFS parent,
+        # is not expanded
+        scene = three_room_scene()
+        full = build_graph(scene)
+        n = len(full.positions)
+        adj = np.array([full.row(v) for v in range(n)])
+        tx = full.tx_vertex
+        origins = []
+
+        def counting(a, bs, *args):
+            origins.append(int(np.flatnonzero((full.positions == a).all(axis=1))[0]))
+            assert len(bs) == n        # whole rows only, no single segments
+            return segments_clear_batch(a, bs, *args)
+
+        monkeypatch.setattr("pwesim.scene.segments_clear_batch", counting)
+        lengths = set()
+        for last in range(1, n, 3):
+            del origins[:]
+            path = bfs_shortest_path(PweGraph(scene), last, tx)
+            hops = len(path) - 1
+            lengths.add(hops)
+            depth = np.full(n, n)        # hop count from last, by the full rows
+            depth[last], level = 0, 0
+            while (depth == level).any():
+                depth[adj[depth == level].any(axis=0) & (depth == n)] = level + 1
+                level += 1
+            computed = set(origins)
+            expanded = computed - {path[-2]}
+            assert len(origins) == len(computed) == len(expanded) + 1
+            assert not adj[sorted(expanded), tx].any()    # none could end the search
+            assert set(np.flatnonzero(depth < hops - 1).tolist()) <= expanded
+            assert depth[sorted(computed)].max() == hops - 1
+        assert lengths == {1, 2, 3}
 
 
 class TestPathStep:
@@ -425,6 +461,20 @@ class TestCellClaim:
         rot = rotate_scene(build_scene(SceneParams(), 0.45, 4), R)
         assert rot.ris_cells is not None
         self.assert_like_full_scan(rot, 10, 3, scans)
+
+    @pytest.mark.parametrize("shift, margin", [(1e-6, 0.0), (0.0, 0.3)],
+                             ids=["shifted", "margin"])
+    def test_lattice_read_off_the_units(self, shift, margin, scans):
+        # the table's lattice passes through each wall's own units, so the
+        # units of a grid moved off the wall's center, or laid with a margin
+        # the scene is not told of, are claimed as exactly
+        scene = build_scene(SceneParams(), 0.5, 4)
+        laid = build_scene(SceneParams(ris_margin=margin), 0.5, 4)
+        centers = laid.ris_centers.copy()
+        centers[laid.ris_walls == 0, 1] += shift      # in the divider's plane
+        scene = replace(scene, ris_centers=centers, ris_walls=laid.ris_walls)
+        assert scene.ris_cells.u0[0] == centers[0, 1] - scene.walls[0].p0[1] - 0.25
+        self.assert_like_full_scan(scene, 5, 11, scans)
 
     def test_cell_edge_tie_takes_smaller_id(self, scans):
         # 1 m cells on the ceiling; the hit point lies on the shared edge of

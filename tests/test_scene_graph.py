@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from pwesim.experiment import SceneParams, build_scene
-from pwesim.geometry import Aperture, WallPlane, grid_cells
-from pwesim.scene import PweGraph, Scene, SceneError, bfs_shortest_path, build_graph
+from pwesim.geometry import Aperture, WallPlane, grid_shape
+from pwesim.scene import Scene, SceneError, bfs_shortest_path, build_graph
 
 from conftest import box_walls, ris_on_wall, rotate_scene, single_antenna_array
 from oracles import SimpleGraph, segment_clear
@@ -81,11 +81,11 @@ class TestBuildGraph:
         assert edges(g) == expected
 
     def test_e_subsets(self):
-        # g computes no Tx row, so its has_edge tests single segments
-        scene = two_room_scene(with_door=True)
-        g, rows = PweGraph(scene), build_graph(scene)
-        for v in range(1, 1 + g.n_ris):
-            assert g.has_edge(0, v) == g.has_edge(v, 0) == bool(rows.row(0)[v])
+        # every row agrees with every other row on their shared edge
+        g = build_graph(two_room_scene(with_door=True))
+        adj = np.array([g.row(v) for v in range(len(g.positions))])
+        np.testing.assert_array_equal(adj, adj.T)
+        assert not adj.diagonal().any()
 
     def test_determinism(self):
         g1 = build_graph(two_room_scene(with_door=True))
@@ -188,24 +188,31 @@ class TestRisCells:
         iv = np.floor((np.vecdot(rel, t.v_axis[col]) - cells.v0[col]) / cells.d_r).astype(int)
         got = cells.rows[cells.start[col] + iv * cells.n_u[col] + iu]
         assert got.tolist() == list(range(len(scene.ris_centers)))
-        # the doorway's skipped cells are the only empty ones
-        _, _, keep = grid_cells(scene.walls[0], 0.3, 0.0, scene.openings)
+        # each table spans its wall's tile_wall grid; the doorway's skipped
+        # cells are the only empty ones
+        shapes = [grid_shape(w, 0.3) for w in scene.walls[:9]]
+        assert list(zip(cells.n_u[:9], cells.n_v[:9])) == shapes
         assert len(cells.rows) == (cells.n_u * cells.n_v).sum()
-        assert (cells.rows < 0).sum() == (~keep).sum() > 0
+        assert (cells.rows < 0).sum() == len(cells.rows) - len(scene.ris_centers) > 0
         assert (cells.n_u > 0).tolist() == [True] * 9 + [False] * 2
 
     def test_no_grid_no_table(self):
         assert one_room_scene().ris_cells is None
 
-    @pytest.mark.parametrize("grid, shift", [((0.4, 0.0), 0.0), ((0.5, 0.0), 1e-6),
-                                             ((0.5, 0.3), 0.0)])
-    def test_centers_off_the_grid_rejected(self, grid, shift):
+    @pytest.mark.parametrize("pitch, shift, match", [
+        (0.4, 0.0, "RIS 1 is off its wall's d_r = 0.4 lattice"),
+        (0.5, 1e-3, "RIS 5 is off its wall's d_r = 0.5 lattice"),
+        (0.5, -0.5, "RIS [45] shares its d_r = 0.5 lattice point with RIS [45]"),
+    ], ids=["pitch", "moved", "shared"])
+    def test_centers_off_the_grid_rejected(self, pitch, shift, match):
+        # units 4 and 5 are neighbours on the divider, 0.5 apart along u = y
         scene = build_scene(SceneParams(), 0.5, 2)
         centers = scene.ris_centers.copy()
-        centers[scene.ris_walls == 0, 1] += shift     # in the divider's plane
+        centers[5, 1] += shift
+        assert scene.ris_walls[5] == scene.ris_walls[4] == 0
         replace(scene, ris_centers=centers, ris_grid=None)    # fine without a grid
-        with pytest.raises(SceneError, match="RIS units on wall 0 are not its d_r"):
-            replace(scene, ris_centers=centers, ris_grid=grid)
+        with pytest.raises(SceneError, match=match):
+            replace(scene, ris_centers=centers, ris_grid=pitch)
 
 
 class TestBfs:
@@ -239,12 +246,12 @@ class TestBfs:
         def dfs(u, depth, seen):
             if best[0] is not None and depth >= best[0]:
                 return
-            if g.has_edge(u, t):
+            if g.row(u)[t]:
                 best[0] = depth + 1
                 return
             if depth + 1 >= max_depth:
                 return
-            for v in g.neighbors(u):
+            for v in np.flatnonzero(g.row(u)).tolist():
                 if v not in seen and v != t:
                     dfs(v, depth + 1, seen | {v})
 
@@ -279,7 +286,7 @@ class TestBfs:
             assert path[0] == int(s) and path[-1] == int(t)
             assert not banned.intersection(path)
             for u, v in zip(path, path[1:]):
-                assert g.has_edge(u, v)
+                assert g.row(u)[v]
             assert len(set(path)) == len(path)
 
     def test_bfs_on_pwe_graph(self):
@@ -288,7 +295,7 @@ class TestBfs:
         path = bfs_shortest_path(g, last, g.tx_vertex)
         assert path is not None and path[0] == last and path[-1] == 0
         for u, v in zip(path, path[1:]):
-            assert g.has_edge(u, v)
+            assert g.row(u)[v]
 
 
 class TestMinHopPath:
