@@ -141,10 +141,12 @@ def build_scene(params, d_r, m_side):
         wall(9, (0.5 * length, hw, 0.0), ez, ex, ey, hl, hw),
         wall(10, (0.5 * length, hw, height), ez, ex, ey, hl, hw),
     ]
-    # doorway centered in the divider
-    openings = [Aperture(wall_id=0, u_center=0.0, v_center=0.0,
-                         u_half=params.door_width / 2.0,
-                         v_half=params.door_height / 2.0)]
+    # doorway centered in the divider; a zero width or height closes it
+    openings = []
+    if params.door_width > 0 and params.door_height > 0:
+        openings = [Aperture(wall_id=0, u_center=0.0, v_center=0.0,
+                             u_half=params.door_width / 2.0,
+                             v_half=params.door_height / 2.0)]
 
     tiled = walls[:9]    # room-2 boundary, room-1 walls
     n_grid = sum(np.prod(grid_shape(w, d_r, params.ris_margin)) for w in tiled)
@@ -182,7 +184,7 @@ def build_scene(params, d_r, m_side):
                  ris_walls=ris_walls, tx=tx, rx=rx, ris_grid=d_r)
 
 
-def sample_wavefront(scene, rng, hits=None):
+def sample_wavefront(scene, rng):
     """Draw one desired unit DoA per antenna, uniform over the boresight
     hemisphere, rejecting directions whose traced ray misses every wall.
 
@@ -195,11 +197,8 @@ def sample_wavefront(scene, rng, hits=None):
     accepted ones; the first rejected candidate is dropped, and those after
     it move up one antenna, topped up by one fresh draw. M draws of 3 take
     the same stream as one draw of (M, 3), so every candidate is the vector
-    the per-antenna rule reads.
-
-    When `hits` is a list, each accepted direction's traced
-    (wall point, wall id) is appended to it, ready for
-    get_routes(..., hits=hits).
+    the per-antenna rule reads. The accepted directions' traces come with
+    the spec as `WavefrontSpec.trace`, so `get_routes` traces nothing.
     """
     antennas = scene.rx.antennas
     m = len(antennas)
@@ -234,9 +233,7 @@ def sample_wavefront(scene, rng, hits=None):
         # candidates traced past a rejection are traced again for their new
         # antenna; tracing at most twice the last run keeps that work linear
         w = 2 * run + 1
-    if hits is not None:
-        hits.extend(zip(points, scene.wall_table.ids[first].tolist()))
-    return WavefrontSpec(doas=doas)
+    return WavefrontSpec(doas=doas, trace=(first, points))
 
 
 def run_cell(config, d_r, m_side):
@@ -255,9 +252,8 @@ def run_cell(config, d_r, m_side):
         graph = build_graph(scene)
         for trial, ss in enumerate(streams):
             rng = np.random.Generator(np.random.PCG64(ss))
-            hits = []
-            spec = sample_wavefront(scene, rng, hits)
-            routes = get_routes(scene, graph, spec, hits=hits)
+            spec = sample_wavefront(scene, rng)
+            routes = get_routes(scene, graph, spec)
             n_failures += len(routes.failures)
             for route in routes.routes:
                 phis.append(route.phi_deg)

@@ -8,7 +8,7 @@ functions.
 There is one ray trace rule, `trace_walls`: a broadcast over (rays x walls)
 of the slab-style ray/plane test (Williams et al., "An Efficient and Robust
 Ray-Box Intersection Algorithm", JGT 2005) that keeps each ray's first wall
-in id order. `ray_wall_point` lists its result per ray. The trace, `norm`,
+in id order, as arrays of wall columns and points. The trace, `norm`,
 `unit` and `is_unit` take every 3-vector dot product through `np.vecdot`,
 which rounds exactly as a scalar `np.dot` of the same two vectors (einsum,
 `@` and axis sums do not), so a batched result equals the one-vector result
@@ -167,11 +167,8 @@ def trace_walls(points, dirs, table):
     return np.where(found, first, -1), np.where(found[:, None], p[rows, first], np.nan)
 
 
-def ray_wall_point(points, dirs, table):
-    """`trace_walls` as a list, one entry per ray: (point, wall_id) of the
-    first wall hit, or None on a miss."""
-    first, hits = trace_walls(points, dirs, table)
-    return [None if k < 0 else (p, int(table.ids[k])) for k, p in zip(first, hits)]
+# the name bench/tracer.py wraps; nothing in the package calls it
+ray_wall_point = trace_walls
 
 
 def segments_clear_batch(a, bs, walls, openings=()):

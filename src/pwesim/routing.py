@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import is_unit, ray_wall_point, unit
+from .geometry import is_unit, trace_walls, unit
 
 NO_HIT = "no_hit"              # desired ray exits the wall model
 NO_CANDIDATE = "no_candidate"  # no remaining RIS has LoS to the antenna
@@ -34,9 +34,13 @@ UNREACHABLE = "unreachable"    # no path from Tx to the chosen RIS
 @dataclass(frozen=True)
 class WavefrontSpec:
     """One desired unit DoA per receiver antenna, in antenna order; `doas`
-    is a read-only (M, 3) array, row i for antenna i."""
+    is a read-only (M, 3) array, row i for antenna i. `trace`, if given, is
+    the routing scene's `trace_walls(antennas, doas, wall_table)`, kept as
+    read-only copies: (M,) first-wall columns, -1 on a miss, and (M, 3)
+    wall points."""
 
     doas: np.ndarray
+    trace: tuple = None
 
     def __post_init__(self):
         doas = np.array(self.doas, dtype=float)
@@ -46,6 +50,14 @@ class WavefrontSpec:
             raise ValueError("desired DoAs must be unit vectors")
         doas.setflags(write=False)
         object.__setattr__(self, "doas", doas)
+        if self.trace is not None:
+            first, points = self.trace
+            first, points = np.array(first, dtype=int), np.array(points, dtype=float)
+            if first.shape != (len(doas),) or points.shape != doas.shape:
+                raise ValueError("trace shapes must match the DoAs")
+            first.setflags(write=False)
+            points.setflags(write=False)
+            object.__setattr__(self, "trace", (first, points))
 
 
 @dataclass(frozen=True)
@@ -81,47 +93,41 @@ def nearest_ris(point, centers, available):
     return j if available[j] else None
 
 
-def get_routes(scene, graph, spec, hits=None):
+def get_routes(scene, graph, spec):
     """Run the wavefront routing algorithm: claims first, then one path step.
 
     In index order, each antenna traces its desired ray to a wall point and
     claims the nearest LoS RIS (removed from the pool, even when no path
-    reaches it). The claim is the first free visible unit among the
-    point's `RisCells.candidates`, and the full scan `nearest_ris` where
-    there is none; both give the same unit, smallest id first on ties.
+    reaches it). The wall points are `spec.trace`, or one `trace_walls`
+    pass over all rays when the spec carries none. The claim is the first
+    free visible unit among the point's `RisCells.candidates`, and the full
+    scan `nearest_ris` where there is none; both give the same unit,
+    smallest id first on ties.
     Then each claimed unit gets a minimum-hop Tx -> ... -> lastRIS path whose
     hops are RIS units only, all from one `graph.min_hop_paths` call, which
     memoizes them, so calls that share one graph (the trials of one scene)
     search each lastRIS's path once.
     Per-antenna failures are recorded in antenna order, never fatal.
-
-    hits, when given, holds ray_wall_point's (point, wall_id) or None per
-    antenna, already traced (as sample_wavefront does), so the rays are not
-    traced again; otherwise all rays are traced in one pass.
     """
     antennas = scene.rx.antennas
     if len(spec.doas) != len(antennas):
         raise ValueError("spec length must match antenna count")
-    if hits is not None and len(hits) != len(spec.doas):
-        raise ValueError("hits length must match antenna count")
-    if hits is None:
-        hits = ray_wall_point(antennas, spec.doas, scene.wall_table)
+    first, points = (trace_walls(antennas, spec.doas, scene.wall_table) if spec.trace is None
+                     else spec.trace)
     centers = scene.ris_centers
-    points = np.array([np.full(3, np.nan) if hit is None else hit[0] for hit in hits])
-    cols = np.searchsorted(scene.wall_table.ids, [0 if hit is None else hit[1] for hit in hits])
     cells = scene.ris_cells
-    near = [()] * len(hits) if cells is None else cells.candidates(points.reshape(-1, 3), cols)
+    near = [()] * len(first) if cells is None else cells.candidates(points, first)
     free = np.ones(graph.n_ris, dtype=bool)
     claims = []    # (antenna, claimed RIS row)
     failures = []
-    for i, hit in enumerate(hits):
-        if hit is None:
+    for i, k in enumerate(first.tolist()):
+        if k < 0:
             failures.append((i, NO_HIT))
             continue
         visible = graph.antenna_row(i)
         j = next((j for j in near[i] if free[j] and visible[j]), None)
         if j is None:
-            j = nearest_ris(hit[0], centers, free & visible)
+            j = nearest_ris(points[i], centers, free & visible)
         if j is None:
             failures.append((i, NO_CANDIDATE))
             continue

@@ -156,15 +156,15 @@ class RisCells:
         and every unit not listed, so the first free visible one is the
         lastRIS claim.
 
-        points: (M, 3) hit points, NaN for none; cols: (M,) `WallTable`
-        column of each hit wall. The candidates are the units of the 3 x 3
-        cells around the point's cell on its wall, by distance. Any other
-        unit of that wall lies 1.5 d_r or more away, as each unit sits at
-        its own cell's center; a unit of another wall lies inside that wall's
-        rectangle, padded by `limits`. The list stops at the first candidate
-        whose distance does not beat the next one's and both bounds by a
-        margin of 1e-9 (1 + |p|^2), which no rounding of the distances
-        reaches, so ties and near-ties end it.
+        points, cols: `trace_walls`' (M, 3) hit points and (M,) `WallTable`
+        columns of the hit walls, NaN and -1 for none. The candidates are
+        the units of the 3 x 3 cells around the point's cell on its wall,
+        by distance. Any other unit of that wall lies 1.5 d_r or more away,
+        as each unit sits at its own cell's center; a unit of another wall
+        lies inside that wall's rectangle, padded by `limits`. The list
+        stops at the first candidate whose distance does not beat the next
+        one's and both bounds by a margin of 1e-9 (1 + |p|^2), which no
+        rounding of the distances reaches, so ties and near-ties end it.
         """
         w = len(self.n_u)
         local = (points @ self.axes).reshape(len(points), w, 3) - self.origin    # (M, W, 3)

@@ -9,7 +9,8 @@
 - `tile_wall_loop` and `antenna_grid_loop`: one unit or antenna per loop
   step, the scalar forms of `tile_wall` and `build_scene`'s antenna grid.
 - `ray_wall_scale` and `_ref_hit_point`: the scalar ray/plane scale and the
-  first-hit wall scan, one wall at a time, behind `trace_walls`.
+  first-hit wall scan, one wall at a time, behind `trace_walls`;
+  `first_hits` lists a `trace_walls` result in the scan's form.
 - `sample_wavefront_loop`: the rejection rule that `sample_wavefront` runs
   in passes over the waiting antennas, here one antenna and one scalar
   trace at a time; both read the same stream of normal 3-vectors, so the
@@ -28,7 +29,7 @@ from collections import deque
 import numpy as np
 
 from pwesim.experiment import MAX_REJECTIONS
-from pwesim.geometry import ENDPOINT_EPS, EXTENT_SLACK, PARALLEL_EPS, unit
+from pwesim.geometry import ENDPOINT_EPS, EXTENT_SLACK, PARALLEL_EPS, trace_walls, unit
 from pwesim.routing import NO_CANDIDATE, NO_HIT, deviation_angle, nearest_ris
 
 
@@ -178,6 +179,13 @@ def _ref_hit_point(ant, doa, walls, openings):
             continue
         return p, wall.id
     return None
+
+
+def first_hits(points, dirs, table):
+    """`trace_walls` as a list, one entry per ray, in `_ref_hit_point`'s
+    form: (point, wall id) of the first wall hit, or None on a miss."""
+    first, hits = trace_walls(points, dirs, table)
+    return [None if k < 0 else (p, int(table.ids[k])) for k, p in zip(first, hits)]
 
 
 def sample_wavefront_loop(scene, rng):

@@ -402,6 +402,17 @@ class TestSweepCommand:
         assert pools[0].cells[0] == (3, 0.45)
         assert not out.exists()
 
+    def test_zero_size_door_sweeps_as_closed_divider(self, tmp_path):
+        # a door with a zero side is a closed divider, whichever side is zero
+        tables = set()
+        for width, height in [(0, 0), (0, 2.2), (1.2, 0)]:
+            cfg = write_config(tmp_path, "d_r_values = [0.55]\nm_sides = [2]\nn_trials = 3\n"
+                                         f"door_width = {width}\ndoor_height = {height}\n")
+            out = tmp_path / f"out_{width}_{height}"
+            assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+            tables.add((out / "deviations.csv").read_bytes())
+        assert len(tables) == 1
+
     def test_golden_digests(self, tmp_path):
         # pinned output bytes of a small fixed sweep; a change here is a
         # behaviour change of the simulator, not a refactor
@@ -477,6 +488,22 @@ class TestRouteCommand:
             assert got["last_ris_id"] == want.last_ris_id
             assert got["path"] == list(want.path)
             assert got["phi_deg"] == pytest.approx(want.phi_deg)
+
+    def test_zero_size_door_claims_divider_center(self, tmp_path):
+        # aimed at the center of a zero-size door, the ray stops on the
+        # closed divider and claims the unit there
+        cfg = write_config(tmp_path, "d_r_values = [0.55]\nm_sides = [1]\n"
+                                     "door_width = 0\ndoor_height = 0\n")
+        from pwesim.cli import load_config
+        scene = build_scene(load_config(str(cfg)).scene, 0.55, 1)
+        spec = self._spec_path(tmp_path, [unit((5.0, 2.5, 1.5) - scene.rx.antennas[0])])
+        out = tmp_path / "routes.json"
+        assert main(["route", "--config", str(cfg), "--spec", str(spec),
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["failures"] == [] and len(payload["routes"]) == 1
+        center = scene.ris_centers[payload["routes"][0]["last_ris_id"]]
+        np.testing.assert_allclose(center, (5.0, 2.5, 1.5), atol=1e-12)
 
     def test_size_mismatch_exit_1(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -1,5 +1,6 @@
 import os
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ import pytest
 from pwesim import experiment
 from pwesim.experiment import (ExperimentConfig, SceneParams, build_scene,
                                run_cell, run_sweep, sample_wavefront)
-from pwesim.geometry import tile_wall
+from pwesim.geometry import tile_wall, trace_walls
 from pwesim.routing import get_routes
 from pwesim.scene import Scene, SceneError, build_graph
 
+from conftest import rotate_scene
 from oracles import antenna_grid_loop, local_uv, sample_wavefront_loop, tile_wall_loop
 
 
@@ -50,6 +52,17 @@ class TestSceneParams:
             overlap_u = abs(u - door.u_center) < h + door.u_half
             overlap_v = abs(v - door.v_center) < h + door.v_half
             assert not (overlap_u and overlap_v)
+
+    @pytest.mark.parametrize("width, height", [(0.0, 0.0), (0.0, 2.2), (1.2, 0.0)])
+    def test_zero_size_door_closes_divider(self, width, height):
+        # a door with a zero side is no opening: at d_r 0.55 the divider
+        # keeps all 9 x 5 units, and a ray at the door center stops on it
+        scene = build_scene(SceneParams(door_width=width, door_height=height), 0.55, 2)
+        assert scene.openings == []
+        assert np.count_nonzero(scene.ris_walls == 0) == 45
+        first, _ = trace_walls(np.array([(7.5, 2.5, 1.5)]), np.array([(-1.0, 0.0, 0.0)]),
+                               scene.wall_table)
+        assert scene.wall_table.ids[first].tolist() == [0]
 
     def test_ris_ids_unique_ascending(self):
         # a RIS id is its row: rows run in wall order, then v outer, u inner
@@ -186,6 +199,14 @@ class StubNormal:
         return out.reshape(size).copy()
 
 
+def assert_trace_is(scene, spec, hits):
+    """`spec.trace` names the walls and points of `hits`, (point, wall id)
+    pairs."""
+    first, points = spec.trace
+    assert scene.wall_table.ids[first].tolist() == [w for _p, w in hits]
+    assert np.array_equal(points, np.array([p for p, _w in hits]))
+
+
 class TestSampleWavefront:
     def test_boresight_hemisphere(self):
         scene = build_scene(SceneParams(), d_r=0.5, m_side=3)
@@ -209,16 +230,32 @@ class TestSampleWavefront:
         graph = build_graph(scene)
         rng = np.random.default_rng(3)
         for _ in range(5):
-            hits = []
-            spec = sample_wavefront(scene, rng, hits)
-            assert len(hits) == len(spec.doas)
-            reused = get_routes(scene, graph, spec, hits=hits)
-            traced = get_routes(scene, graph, spec)
+            spec = sample_wavefront(scene, rng)
+            reused = get_routes(scene, graph, spec)
+            traced = get_routes(scene, graph, replace(spec, trace=None))
             assert reused.failures == traced.failures
             assert [(r.antenna_index, r.last_ris_id, r.path, r.phi_deg)
                     for r in reused.routes] == \
                    [(r.antenna_index, r.last_ris_id, r.path, r.phi_deg)
                     for r in traced.routes]
+
+    @pytest.mark.parametrize("dropped", [(), (4, 6), (0, 1, 4, 6), "rotated"],
+                             ids=["default", "floor_and_far_wall_gone",
+                                  "divider_side_floor_and_far_wall_gone", "rotated"])
+    def test_trace_equals_fresh_trace(self, dropped):
+        # the spec carries the sampler's own trace, bit for bit
+        if dropped == "rotated":
+            R, _ = np.linalg.qr(np.random.default_rng(8).normal(size=(3, 3)))
+            scene = rotate_scene(build_scene(SceneParams(), d_r=0.5, m_side=4), R)
+        else:
+            scene = scene_without(dropped, m_side=4)
+        for seed in range(20):
+            spec = sample_wavefront(scene, np.random.default_rng(seed))
+            first, points = spec.trace
+            want_first, want_points = trace_walls(scene.rx.antennas, spec.doas,
+                                                  scene.wall_table)
+            assert first.dtype == want_first.dtype and np.array_equal(first, want_first)
+            assert points.tobytes() == want_points.tobytes()
 
     @pytest.mark.parametrize("dropped", [(), (4, 6), (0, 1, 4, 6)],
                              ids=["default", "floor_and_far_wall_gone",
@@ -230,13 +267,10 @@ class TestSampleWavefront:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             ref = np.random.default_rng(seed)
-            hits = []
-            spec = sample_wavefront(scene, rng, hits)
+            spec = sample_wavefront(scene, rng)
             want_doas, want_hits = sample_wavefront_loop(scene, ref)
             assert np.array_equal(spec.doas, np.array(want_doas))
-            assert [w for _p, w in hits] == [w for _p, w in want_hits]
-            assert np.array_equal(np.array([p for p, _w in hits]),
-                                  np.array([p for p, _w in want_hits]))
+            assert_trace_is(scene, spec, want_hits)
             assert rng.bit_generator.state == ref.bit_generator.state
             # one (16, 3) draw is the whole stream exactly when no draw is rejected
             once = np.random.default_rng(seed)
@@ -251,13 +285,10 @@ class TestSampleWavefront:
                   (0.0, 0.0, 0.0), (0.0, -2.0, 0.5), (-1.0, 0.3, -0.4),
                   (0.0, 0.0, 1.0), (0.0, 0.0, 0.0), (0.7, 0.7, -0.1), (1.0, 2.0, 3.0)]
         got, want = StubNormal(stream), StubNormal(stream)
-        hits = []
-        spec = sample_wavefront(scene, got, hits)
+        spec = sample_wavefront(scene, got)
         want_doas, want_hits = sample_wavefront_loop(scene, want)
         assert np.array_equal(spec.doas, np.array(want_doas))
-        assert [w for _p, w in hits] == [w for _p, w in want_hits]
-        assert np.array_equal(np.array([p for p, _w in hits]),
-                              np.array([p for p, _w in want_hits]))
+        assert_trace_is(scene, spec, want_hits)
         assert got.served == want.served == len(stream) - 1
 
     def test_traced_rays_linear_in_draws(self, monkeypatch):

@@ -4,19 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pwesim.experiment import SceneParams, build_scene
-from pwesim.geometry import (Aperture, WallPlane, WallTable, ray_wall_point,
-                             segments_clear_batch, tile_wall, trace_walls, unit)
+from pwesim.geometry import (Aperture, WallPlane, WallTable, segments_clear_batch,
+                             tile_wall, trace_walls, unit)
 from pwesim.scene import PATH_CHUNK, build_graph
 
 from conftest import box_walls, rotate_scene
-from oracles import _ref_hit_point, local_uv, ray_wall_scale, segment_clear
+from oracles import _ref_hit_point, first_hits, local_uv, ray_wall_scale, segment_clear
 from test_routing import three_room_scene
 
 
 def trace_one(ant, doa, walls, openings=()):
-    """`ray_wall_point` for the one ray ant + d * doa."""
-    return ray_wall_point(np.reshape(ant, (1, 3)), np.reshape(doa, (1, 3)),
-                          WallTable(walls, openings))[0]
+    """`first_hits` for the one ray ant + d * doa."""
+    return first_hits(np.reshape(ant, (1, 3)), np.reshape(doa, (1, 3)),
+                      WallTable(walls, openings))[0]
 
 
 def zwall(z, wid=0, u_extent=5.0, v_extent=5.0):
@@ -196,7 +196,7 @@ class TestTraceWalls:
         # one entry per ray of one call: the scan's (point, wall id) or None
         points = np.vstack([self.scene.rx.antennas, [(12.0, 2.5, 1.5)]])
         dirs = np.vstack([unit(rng.normal(size=(len(points) - 1, 3))), [(1.0, 0, 0)]])
-        got = ray_wall_point(points, dirs, self.scene.wall_table)
+        got = first_hits(points, dirs, self.scene.wall_table)
         assert len(got) == len(points) and got[-1] is None
         for res, point, doa in zip(got[:-1], points, dirs):
             want_p, want_id = _ref_hit_point(point, doa, self.scene.walls, self.scene.openings)

@@ -91,9 +91,8 @@ class TestDeviationAngle:
         streams = np.random.SeedSequence([config.seed, m_idx, d_idx]).spawn(config.n_trials)
         phis = []
         for ss in streams:
-            hits = []
-            spec = sample_wavefront(scene, np.random.Generator(np.random.PCG64(ss)), hits)
-            for r in get_routes(scene, graph, spec, hits=hits).routes:
+            spec = sample_wavefront(scene, np.random.Generator(np.random.PCG64(ss)))
+            for r in get_routes(scene, graph, spec).routes:
                 i = r.antenna_index
                 realized, phi = scalar_deviation(spec.doas[i], scene.rx.antennas[i],
                                                  scene.ris_centers[r.last_ris_id])
@@ -111,6 +110,23 @@ class TestWavefrontSpec:
 
     def test_accepts_unit(self):
         WavefrontSpec(doas=(unit((1.0, 1.0, 0.0)),))
+
+    def test_trace_shape_mismatch(self):
+        doas = ((0, 0, 1.0),) * 2
+        first, points = np.array([0, -1]), np.zeros((2, 3))
+        for bad in [(first[:1], points), (first, points[:1]), (first[:, None], points),
+                    (first, points[:, :2]), (first, points.ravel())]:
+            with pytest.raises(ValueError, match="trace shapes"):
+                WavefrontSpec(doas=doas, trace=bad)
+
+    def test_trace_kept_as_read_only_copy(self):
+        first, points = np.array([3, -1]), np.ones((2, 3))
+        spec = WavefrontSpec(doas=((0, 0, 1.0),) * 2, trace=(first, points))
+        first[0], points[0, 0] = 0, 5.0
+        got_first, got_points = spec.trace
+        assert got_first.tolist() == [3, -1] and got_points[0, 0] == 1.0
+        assert not got_first.flags.writeable and not got_points.flags.writeable
+        assert WavefrontSpec(doas=spec.doas).trace is None
 
 
 class TestGetRoutes:
@@ -132,12 +148,6 @@ class TestGetRoutes:
         graph = build_graph(scene)
         with pytest.raises(ValueError):
             get_routes(scene, graph, WavefrontSpec(doas=((0, 0, 1.0),)))
-
-    def test_hits_length_mismatch(self):
-        scene = tiled_box_scene(m_side=2)
-        spec = WavefrontSpec(doas=((0, 0, 1.0),) * scene.rx.m)
-        with pytest.raises(ValueError, match="hits length"):
-            get_routes(scene, build_graph(scene), spec, hits=[None])
 
     def test_no_hit_failure(self):
         # a lone wall with a hole: the ray through the hole hits nothing
@@ -360,10 +370,9 @@ class TestPathStep:
         assert graph.n_ris > PATH_CHUNK
         seen, searched = set(), 0
         for ss in np.random.SeedSequence(0).spawn(3):
-            hits = []
-            spec = sample_wavefront(scene, np.random.default_rng(ss), hits)
+            spec = sample_wavefront(scene, np.random.default_rng(ss))
             del sizes[:]
-            routes = get_routes(scene, graph, spec, hits=hits)
+            routes = get_routes(scene, graph, spec)
             new = {r.path for r in routes.routes if r.path[-1] not in seen}
             seen.update(path[-1] for path in new)
             searched += sum(len(path) > 2 for path in new)
@@ -442,13 +451,12 @@ class TestCellClaim:
         no_cells = replace(scene, ris_grid=None)      # every claim a full scan
         claims = 0
         for ss in np.random.SeedSequence(seed).spawn(trials):
-            hits = []
-            spec = sample_wavefront(scene, np.random.default_rng(ss), hits)
-            fast = get_routes(scene, graph, spec, hits=hits)
-            claims += len(hits)
+            spec = sample_wavefront(scene, np.random.default_rng(ss))
+            fast = get_routes(scene, graph, spec)
+            claims += len(spec.doas)
             before = len(scans)
-            assert route_key(fast) == route_key(get_routes(no_cells, graph, spec, hits=hits))
-            assert len(scans) - before == len(hits)
+            assert route_key(fast) == route_key(get_routes(no_cells, graph, spec))
+            assert len(scans) - before == len(spec.doas)
             del scans[before:]
         assert len(scans) < claims / 2     # the cell claim served most of them
 
