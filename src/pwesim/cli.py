@@ -228,7 +228,7 @@ def cmd_route(args):
         return _fail(shape_error, EXIT_BAD_CONFIG)
     except ValueError:    # a non-unit or NaN DoA
         return _fail("spec contains non-unit DoA vectors", EXIT_SCENE_FAULT)
-    routes = get_routes(scene, graph, spec)
+    routes = get_routes(graph, spec)
     payload = {
         "d_r": d_r,
         "m": scene.rx.m,
@@ -263,6 +263,8 @@ def cmd_fit(args):
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or "phi_deg" not in reader.fieldnames:
                 return _fail("data file needs a phi_deg column", EXIT_BAD_CONFIG)
+            if reader.fieldnames.count("phi_deg") > 1:
+                return _fail("data file repeats the phi_deg column", EXIT_BAD_CONFIG)
             samples = np.array([float(row["phi_deg"]) for row in reader])
     except (OSError, TypeError, ValueError, csv.Error) as exc:
         return _fail(exc, EXIT_BAD_CONFIG)
@@ -307,8 +309,9 @@ def build_parser():
                         "the number of cells (0 or 1 = run in this process)")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("route", help="route one wavefront spec")
-    p.add_argument("--config", help="flat key=value config file")
+    p = sub.add_parser("route", help="route one wavefront spec in one (d_r, M) cell")
+    p.add_argument("--config", help="flat key=value config file; the cell is its first "
+                                    "d_r_values and first m_sides entry")
     p.add_argument("--spec", required=True, help="JSON file of M unit DoA vectors")
     p.add_argument("--out", required=True, help="output JSON path")
     p.set_defaults(func=cmd_route)

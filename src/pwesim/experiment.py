@@ -253,7 +253,7 @@ def run_cell(config, d_r, m_side):
         for trial, ss in enumerate(streams):
             rng = np.random.Generator(np.random.PCG64(ss))
             spec = sample_wavefront(scene, rng)
-            routes = get_routes(scene, graph, spec)
+            routes = get_routes(graph, spec)
             n_failures += len(routes.failures)
             for route in routes.routes:
                 phis.append(route.phi_deg)

@@ -175,8 +175,9 @@ def segments_clear_batch(a, bs, walls, openings=()):
     """Segment test from one origin, or a stack of origins, to many endpoints.
 
     a: (3,) origin or (L, 1, 3) origins; bs: (N, 3) endpoints. Returns a bool
-    (N,) or (L, N) array, True where the open segment (a, b) crosses no wall
-    outside an opening. Each origin's row equals its own (N,) call bit for
+    (N,) or (L, N) array, True where the open segment (a, b) has a positive
+    length and crosses no wall outside an opening: a point is no line of
+    sight to itself. Each origin's row equals its own (N,) call bit for
     bit: the (N, 3) products stay stacked per origin, and `np.vecdot` rounds
     the plane term like the scalar dot.
     """
@@ -184,7 +185,7 @@ def segments_clear_batch(a, bs, walls, openings=()):
     bs = np.asarray(bs, dtype=float)
     ab = bs - a                                  # (N, 3) or (L, N, 3)
     lengths = np.linalg.norm(ab, axis=-1)
-    clear = np.ones(ab.shape[:-1], dtype=bool)
+    clear = lengths > 0.0
     for wall in walls:
         denom = ab @ wall.n                      # (N,) or (L, N)
         crossing = np.abs(denom) >= PARALLEL_EPS

@@ -93,7 +93,7 @@ def nearest_ris(point, centers, available):
     return j if available[j] else None
 
 
-def get_routes(scene, graph, spec):
+def get_routes(graph, spec):
     """Run the wavefront routing algorithm: claims first, then one path step.
 
     In index order, each antenna traces its desired ray to a wall point and
@@ -107,8 +107,10 @@ def get_routes(scene, graph, spec):
     hops are RIS units only, all from one `graph.min_hop_paths` call, which
     memoizes them, so calls that share one graph (the trials of one scene)
     search each lastRIS's path once.
-    Per-antenna failures are recorded in antenna order, never fatal.
+    Per-antenna failures are recorded in antenna order, never fatal. The
+    scene is `graph.scene`.
     """
+    scene = graph.scene
     antennas = scene.rx.antennas
     if len(spec.doas) != len(antennas):
         raise ValueError("spec length must match antenna count")
@@ -134,7 +136,7 @@ def get_routes(scene, graph, spec):
         free[j] = False
         claims.append((i, j))
     routed, rows, paths = [], [], []    # antenna, claimed RIS row, Tx path
-    for (i, j), path in zip(claims, graph.min_hop_paths([graph.ris_vertex(j) for _, j in claims])):
+    for (i, j), path in zip(claims, graph.min_hop_paths([j for _, j in claims])):
         if path is None:
             failures.append((i, UNREACHABLE))
             continue

@@ -17,13 +17,14 @@ computed lazily (vectorized over all endpoints) and cached, so large scenes
 stay tractable.
 
 The Tx -> lastRIS path rule is `PweGraph.min_hop_paths`, for a list of
-lastRIS at once: the direct edge when Tx sees lastRIS, else [Tx, u, lastRIS]
-with u the smallest RIS vertex visible from both, else `bfs_shortest_path`
-(also the test oracle) from lastRIS. The middle hops of all the list's
-lastRIS are searched together, one (L x PATH_CHUNK) segment test per chunk
-of Tx-visible units. It returns exactly what that BFS returns, reversed, and
-is memoized per lastRIS on the graph, so one graph per scene shares its
-paths across trials.
+lastRIS ids at once: the direct edge when Tx sees lastRIS, else
+[Tx, u, lastRIS] with u the smallest RIS vertex visible from both, else
+`bfs_shortest_path` (also the test oracle) from lastRIS. The middle hops of
+all the list's lastRIS are searched together, one (L x PATH_CHUNK) segment
+test per chunk of Tx-visible units. It returns exactly what that BFS
+returns, reversed, as vertex tuples, and is memoized per lastRIS on the
+graph, so one graph per scene shares its paths across trials. Callers name
+units by RIS id; only this module maps an id to its vertex.
 """
 
 from collections import deque
@@ -205,13 +206,6 @@ class PweGraph:
         self._antenna_rows = {}
         self._paths = {}
 
-    @property
-    def tx_vertex(self):
-        return 0
-
-    def ris_vertex(self, ris_id):
-        return 1 + ris_id
-
     def antenna_row(self, index):
         """Read-only bool row, one entry per RIS id: which RIS units antenna
         `index` sees (cached)."""
@@ -224,28 +218,29 @@ class PweGraph:
         return cached
 
     def row(self, v):
-        """Boolean adjacency row of vertex v (cached)."""
+        """Boolean adjacency row of vertex v (cached); False at v itself, as a
+        zero-length segment is no line of sight."""
         cached = self._rows.get(v)
         if cached is None:
             cached = segments_clear_batch(self.positions[v], self.positions,
                                           self.scene.walls, self.scene.openings)
-            cached[v] = False
             cached.setflags(write=False)
             self._rows[v] = cached
         return cached
 
-    def min_hop_paths(self, lasts):
-        """Minimum-hop Tx -> last path per vertex of `lasts`, in order: a
-        vertex tuple, Tx first, or None.
+    def min_hop_paths(self, ris_ids):
+        """Minimum-hop Tx -> RIS j path per RIS id j of `ris_ids`, in order:
+        a vertex tuple, 0 (Tx) first and 1 + j last, or None.
 
         Every vertex past Tx is a RIS unit, so only RIS units serve as hops.
-        Ties resolve as in `bfs_shortest_path(self, last, tx)`: the direct
-        edge if Tx sees `last`; else the smallest RIS vertex u seen by both,
+        Ties resolve as in `bfs_shortest_path(self, 1 + j, 0)`: the direct
+        edge if Tx sees RIS j; else the smallest RIS vertex u seen by both,
         found by testing Tx's visible RIS in ascending chunks against every
-        `last` still without one at once; else that BFS itself. Results,
-        None included, are memoized per `last`.
+        unit still without one at once; else that BFS itself. Results, None
+        included, are memoized per unit.
         """
-        tx = self.tx_vertex
+        tx = 0
+        lasts = [1 + j for j in ris_ids]
         tx_row = self.row(tx)
         new = [last for last in lasts if last not in self._paths]
         self._paths.update((last, (tx, last)) for last in new if tx_row[last])
@@ -273,13 +268,13 @@ def build_graph(scene):
     if not len(scene.ris_centers):
         raise SceneError("scene contains no RIS units")
     graph = PweGraph(scene)
-    if not graph.row(graph.tx_vertex).any():
+    if not graph.row(0).any():
         raise SceneError("transmitter has no LoS to any RIS unit")
     return graph
 
 
-def bfs_shortest_path(graph, source, target, banned=()):
-    """Minimum-hop path from source to target avoiding banned vertices.
+def bfs_shortest_path(graph, source, target):
+    """Minimum-hop path from source to target.
 
     `graph` answers `row(v)`, v's boolean adjacency row. Neighbors are
     expanded in ascending vertex order, so ties resolve deterministically.
@@ -287,9 +282,6 @@ def bfs_shortest_path(graph, source, target, banned=()):
     """
     if source == target:
         raise ValueError("source and target must differ")
-    banned = set(banned)
-    if source in banned or target in banned:
-        raise ValueError("source and target must not be banned")
     parent = {source: None}
     queue = deque([source])
     while queue:
@@ -307,8 +299,7 @@ def bfs_shortest_path(graph, source, target, banned=()):
             path.reverse()
             return path
         for v in np.flatnonzero(row).tolist():
-            if v in parent or v in banned:
-                continue
-            parent[v] = u
-            queue.append(v)
+            if v not in parent:
+                parent[v] = u
+                queue.append(v)
     return None

@@ -481,7 +481,7 @@ class TestRouteCommand:
         assert main(["route", "--config", str(cfg), "--spec", str(spec),
                      "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
-        lib = get_routes(scene, graph, WavefrontSpec(doas=tuple(doas)))
+        lib = get_routes(graph, WavefrontSpec(doas=tuple(doas)))
         assert len(payload["routes"]) == len(lib.routes)
         for got, want in zip(payload["routes"], lib.routes):
             assert got["antenna_index"] == want.antenna_index
@@ -504,6 +504,26 @@ class TestRouteCommand:
         assert payload["failures"] == [] and len(payload["routes"]) == 1
         center = scene.ris_centers[payload["routes"][0]["last_ris_id"]]
         np.testing.assert_allclose(center, (5.0, 2.5, 1.5), atol=1e-12)
+
+    def test_antenna_at_ris_center_exit_0(self, tmp_path, capsys):
+        # the antenna sits on the center of unit 156 of the x = 10 wall; the
+        # ray below it hits the floor where that unit ties with floor unit
+        # 225 for nearest. A zero-length segment is no line of sight, so the
+        # antenna does not see its own unit and claims the floor unit
+        cfg = write_config(tmp_path, "d_r_values = [0.5]\nm_sides = [1]\n"
+                                     "rx_position = [10.0, 0.25, 0.25]\n")
+        from pwesim.cli import load_config
+        scene = build_scene(load_config(str(cfg)).scene, 0.5, 1)
+        np.testing.assert_array_equal(scene.ris_centers[156], scene.rx.antennas[0])
+        spec = self._spec_path(tmp_path, [(0.0, 0.0, -1.0)])
+        out = tmp_path / "routes.json"
+        assert main(["route", "--config", str(cfg), "--spec", str(spec),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        payload = json.loads(out.read_text())
+        assert payload["failures"] == []
+        assert [r["last_ris_id"] for r in payload["routes"]] == [225]
+        np.testing.assert_array_equal(scene.ris_centers[225], (9.75, 0.25, 0.0))
 
     def test_size_mismatch_exit_1(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -644,6 +664,15 @@ class TestFitCommand:
         out = tmp_path / "f.json"
         assert main(["fit", "--data", str(path), "--out", str(out)]) == 1
         assert_one_line_error(capsys, "field limit")
+        assert not out.exists()
+
+    def test_repeated_phi_column_exit_1(self, tmp_path, capsys):
+        # csv.DictReader would keep the last of two same-named columns
+        path = tmp_path / "data.csv"
+        path.write_text("phi_deg,phi_deg\n1.0,5.0\n2.0,7.0\n3.0,4.0\n")
+        out = tmp_path / "f.json"
+        assert main(["fit", "--data", str(path), "--out", str(out)]) == 1
+        assert_one_line_error(capsys, "repeats", "phi_deg")
         assert not out.exists()
 
     def test_missing_column_exit_1(self, tmp_path):

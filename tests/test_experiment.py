@@ -231,8 +231,8 @@ class TestSampleWavefront:
         rng = np.random.default_rng(3)
         for _ in range(5):
             spec = sample_wavefront(scene, rng)
-            reused = get_routes(scene, graph, spec)
-            traced = get_routes(scene, graph, replace(spec, trace=None))
+            reused = get_routes(graph, spec)
+            traced = get_routes(graph, replace(spec, trace=None))
             assert reused.failures == traced.failures
             assert [(r.antenna_index, r.last_ris_id, r.path, r.phi_deg)
                     for r in reused.routes] == \

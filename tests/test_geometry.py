@@ -246,6 +246,15 @@ class TestSegmentClear:
                 continue
             assert segment_clear(a, b, walls, door) == segment_clear(b, a, walls, door)
 
+    def test_zero_length_segment_not_clear(self):
+        # a point is no line of sight to itself, in the one-origin and the
+        # stacked form alike
+        walls = box_walls((4, 4, 3))
+        bs = np.array([[1.0, 1.0, 1.0], [3.0, 3.0, 2.0]])
+        assert segments_clear_batch(bs[0], bs, walls).tolist() == [False, True]
+        stacked = segments_clear_batch(bs[:, None, :], bs, walls)
+        assert stacked.tolist() == [[False, True], [True, False]]
+
     def test_batch_matches_scalar(self, rng):
         walls = box_walls((4, 4, 3))
         door = [Aperture(wall_id=4, u_center=0.0, v_center=0.0,

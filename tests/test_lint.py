@@ -59,6 +59,43 @@ def unread_methods(trees):
     return sorted(".".join(m) for m in methods if not readers[m[2]] - {m})
 
 
+def unpassed_parameters(trees):
+    """Defaulted parameters of module-level functions and of public methods
+    of module-level classes, as "module.function(name)" or
+    "module.Class.method(name)", that no call in `trees` passes by position
+    or by keyword. A call is matched to a definition by the name it calls; a
+    method's positions count from the parameter after self, and a `*` or
+    `**` argument passes every position or every keyword."""
+    defs = []     # (label, function node, leading parameters a call does not pass)
+    for module, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef):
+                defs.append((f"{module}.{top.name}", top, 0))
+            elif isinstance(top, ast.ClassDef):
+                defs.extend((f"{module}.{top.name}.{item.name}", item, 1) for item in top.body
+                            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+    calls = defaultdict(list)     # called name -> (positions passed, keywords passed)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+                calls[name].append((float("inf") if starred else len(node.args),
+                                    {kw.arg for kw in node.keywords}))
+    found = []
+    for label, fn, skip in defs:
+        a = fn.args
+        positional = [arg.arg for arg in a.posonlyargs + a.args]
+        defaulted = [(i - skip, name) for i, name in enumerate(positional)
+                     if i >= len(positional) - len(a.defaults)]
+        defaulted += [(float("inf"), arg.arg) for arg, default in zip(a.kwonlyargs, a.kw_defaults)
+                      if default is not None]
+        for index, name in defaulted:
+            if not any(index < n or name in kws or None in kws for n, kws in calls[fn.name]):
+                found.append(f"{label}({name})")
+    return sorted(found)
+
+
 def _src_trees():
     return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
             for path in sorted(SRC.glob("*.py"))}
@@ -106,3 +143,23 @@ def test_every_method_is_read():
     # a method only the tests call belongs in tests/oracles.py, not in src/
     found = unread_methods(_src_trees())
     assert not found, "methods never read in src/: " + ", ".join(found)
+
+
+def test_unpassed_parameters_are_found():
+    trees = {
+        "a": ast.parse("def f(x, y=1, z=2, *, w=3):\n    pass\n\n\n"
+                       "class A:\n    def m(self, p=0, q=1):\n        pass\n\n"
+                       "    def _hidden(self, r=0):\n        pass\n"),
+        "b": ast.parse("from a import A, f\n\nf(0, 1)\nA().m(q=2)\n"),
+    }
+    assert unpassed_parameters(trees) == ["a.A.m(p)", "a.f(w)", "a.f(z)"]
+    trees["b"] = ast.parse("from a import A, f\n\nf(*args, **kwargs)\nA().m(5, 6)\n")
+    assert unpassed_parameters(trees) == []
+
+
+def test_every_default_is_passed():
+    # a default only the tests override belongs in the tests, not in src/;
+    # cli.main's argv is the entry point's: `__main__` calls it bare, and
+    # bench/worker.py and the tests pass it
+    found = set(unpassed_parameters(_src_trees())) - {"cli.main(argv)"}
+    assert not found, "defaulted parameters no src/ call passes: " + ", ".join(sorted(found))

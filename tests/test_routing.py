@@ -92,7 +92,7 @@ class TestDeviationAngle:
         phis = []
         for ss in streams:
             spec = sample_wavefront(scene, np.random.Generator(np.random.PCG64(ss)))
-            for r in get_routes(scene, graph, spec).routes:
+            for r in get_routes(graph, spec).routes:
                 i = r.antenna_index
                 realized, phi = scalar_deviation(spec.doas[i], scene.rx.antennas[i],
                                                  scene.ris_centers[r.last_ris_id])
@@ -139,7 +139,7 @@ class TestGetRoutes:
                       tx=(3.0, 3.0, 1.0), rx=rx)
         graph = build_graph(scene)
         doa = unit(ris[0] - np.asarray(rx.antennas[0]))
-        routes = get_routes(scene, graph, WavefrontSpec(doas=(doa,)))
+        routes = get_routes(graph, WavefrontSpec(doas=(doa,)))
         assert not routes.failures
         assert routes.routes[0].phi_deg <= 1e-6
 
@@ -147,7 +147,7 @@ class TestGetRoutes:
         scene = tiled_box_scene(m_side=2)
         graph = build_graph(scene)
         with pytest.raises(ValueError):
-            get_routes(scene, graph, WavefrontSpec(doas=((0, 0, 1.0),)))
+            get_routes(graph, WavefrontSpec(doas=((0, 0, 1.0),)))
 
     def test_no_hit_failure(self):
         # a lone wall with a hole: the ray through the hole hits nothing
@@ -161,7 +161,7 @@ class TestGetRoutes:
                       tx=(0.0, 1.0, 1.5),
                       rx=single_antenna_array((0.0, 0.0, 1.5), (0, 1.0, 0)))
         graph = build_graph(scene)
-        routes = get_routes(scene, graph, WavefrontSpec(doas=((0, 1.0, 0),)))
+        routes = get_routes(graph, WavefrontSpec(doas=((0, 1.0, 0),)))
         assert routes.failures == ((0, NO_HIT),)
         assert not routes.routes
 
@@ -172,7 +172,7 @@ class TestGetRoutes:
         graph = build_graph(scene)
         target = np.array([2.5, 1.0, 3.0])
         doas = tuple(unit(target - np.asarray(a)) for a in scene.rx.antennas)
-        routes = get_routes(scene, graph, WavefrontSpec(doas=doas))
+        routes = get_routes(graph, WavefrontSpec(doas=doas))
         assert len(routes.routes) == 4
         chosen = [r.last_ris_id for r in routes.routes]
         assert len(set(chosen)) == 4
@@ -193,7 +193,7 @@ class TestGetRoutes:
         for _ in range(60):
             spec = WavefrontSpec(doas=tuple(
                 unit(rng.normal(size=3)) for _ in range(scene.rx.m)))
-            routes = get_routes(scene, graph, spec)
+            routes = get_routes(graph, spec)
             ids = [r.last_ris_id for r in routes.routes]
             assert len(ids) == len(set(ids))
 
@@ -203,10 +203,10 @@ class TestGetRoutes:
         rng = np.random.default_rng(7)
         spec = WavefrontSpec(doas=tuple(
             unit(rng.normal(size=3)) for _ in range(scene.rx.m)))
-        routes = get_routes(scene, graph, spec)
+        routes = get_routes(graph, spec)
         for r in routes.routes:
-            assert r.path[0] == graph.tx_vertex
-            assert r.path[-1] == graph.ris_vertex(r.last_ris_id)
+            assert r.path[0] == 0
+            assert r.path[-1] == 1 + r.last_ris_id
             assert all(1 <= v <= graph.n_ris for v in r.path[1:])
             for u, v in zip(r.path, r.path[1:]):
                 assert graph.row(u)[v]
@@ -222,9 +222,9 @@ class TestGetRoutes:
             return [(r.antenna_index, r.last_ris_id, r.path, r.phi_deg)
                     for r in routes.routes], routes.failures
 
-        fresh = key(get_routes(scene, build_graph(scene), spec))
+        fresh = key(get_routes(build_graph(scene), spec))
         for _ in range(3):
-            assert key(get_routes(scene, graph, spec)) == fresh
+            assert key(get_routes(graph, spec)) == fresh
 
 
 class TestAgainstReference:
@@ -235,7 +235,7 @@ class TestAgainstReference:
             rng = np.random.default_rng(1000 + seed)
             spec = WavefrontSpec(doas=tuple(
                 unit(rng.normal(size=3)) for _ in range(scene.rx.m)))
-            got = get_routes(scene, graph, spec)
+            got = get_routes(graph, spec)
             expected = reference_get_routes(scene, spec)
             by_ant = {r.antenna_index: r for r in got.routes}
             fail_by_ant = dict(got.failures)
@@ -256,7 +256,7 @@ class TestAgainstReference:
             rng = np.random.default_rng(2000 + seed)
             spec = WavefrontSpec(doas=tuple(
                 unit(rng.normal(size=3)) for _ in range(scene.rx.m)))
-            got = get_routes(scene, graph, spec)
+            got = get_routes(graph, spec)
             expected = reference_get_routes(scene, spec)
             assert not got.failures
             for r in got.routes:
@@ -269,9 +269,9 @@ class TestAgainstReference:
     def test_three_rooms_min_hop_path_matches_bfs(self):
         graph = build_graph(three_room_scene())
         lengths = set()
-        lasts = list(range(1, 1 + graph.n_ris))
-        for last, path in zip(lasts, graph.min_hop_paths(lasts)):
-            oracle = bfs_shortest_path(graph, last, graph.tx_vertex)
+        ids = list(range(graph.n_ris))
+        for j, path in zip(ids, graph.min_hop_paths(ids)):
+            oracle = bfs_shortest_path(graph, 1 + j, 0)
             assert path == tuple(reversed(oracle))
             lengths.add(len(path))
         assert lengths == {2, 3, 4}
@@ -284,7 +284,7 @@ class TestAgainstReference:
         full = build_graph(scene)
         n = len(full.positions)
         adj = np.array([full.row(v) for v in range(n)])
-        tx = full.tx_vertex
+        tx = 0
         origins = []
 
         def counting(a, bs, *args):
@@ -328,7 +328,7 @@ class TestPathStep:
         scene = replace(scene, ris_centers=scene.ris_centers[keep],
                         ris_walls=scene.ris_walls[keep], rx=rx)
         spec = WavefrontSpec(doas=[(1.0, 0, 0)] * 3)
-        routes = get_routes(scene, build_graph(scene), spec)
+        routes = get_routes(build_graph(scene), spec)
         assert routes.failures == ((0, NO_HIT), (1, UNREACHABLE), (2, NO_CANDIDATE))
         assert not routes.routes
 
@@ -341,18 +341,18 @@ class TestPathStep:
                         ris_centers=np.vstack([scene.ris_centers, ris_on_wall(closet[5], 0, 0)]),
                         ris_walls=np.append(scene.ris_walls, closet[5].id), ris_grid=None)
         graph = build_graph(scene)
-        lasts = list(range(1, 1 + graph.n_ris))
+        ids = list(range(graph.n_ris))
         expected = []
-        for last in lasts:
-            found = bfs_shortest_path(graph, last, graph.tx_vertex)
+        for j in ids:
+            found = bfs_shortest_path(graph, 1 + j, 0)
             expected.append(None if found is None else tuple(reversed(found)))
         graph = build_graph(scene)
-        memo = lasts[::4]
-        assert graph.min_hop_paths(memo) == [expected[v - 1] for v in memo]
-        got = graph.min_hop_paths(lasts[::-1])
+        memo = ids[::4]
+        assert graph.min_hop_paths(memo) == [expected[j] for j in memo]
+        got = graph.min_hop_paths(ids[::-1])
         assert got == expected[::-1]
         assert {None if path is None else len(path) for path in got} == {2, 3, 4, None}
-        assert graph.min_hop_paths(lasts[::-1]) == got
+        assert graph.min_hop_paths(ids[::-1]) == got
 
     def test_one_path_search_per_trial(self, monkeypatch):
         # a path search tests at most PATH_CHUNK endpoints; a visibility row
@@ -366,13 +366,13 @@ class TestPathStep:
         monkeypatch.setattr("pwesim.scene.segments_clear_batch", counting)
         scene = build_scene(SceneParams(), 0.15, 8)
         graph = build_graph(scene)
-        first_chunk = set(np.flatnonzero(graph.row(graph.tx_vertex))[:PATH_CHUNK].tolist())
+        first_chunk = set(np.flatnonzero(graph.row(0))[:PATH_CHUNK].tolist())
         assert graph.n_ris > PATH_CHUNK
         seen, searched = set(), 0
         for ss in np.random.SeedSequence(0).spawn(3):
             spec = sample_wavefront(scene, np.random.default_rng(ss))
             del sizes[:]
-            routes = get_routes(scene, graph, spec)
+            routes = get_routes(graph, spec)
             new = {r.path for r in routes.routes if r.path[-1] not in seen}
             seen.update(path[-1] for path in new)
             searched += sum(len(path) > 2 for path in new)
@@ -396,9 +396,8 @@ class TestRotationInvariance:
         rot_graph = build_graph(rot)
         for _ in range(10):
             doas = tuple(unit(rng.normal(size=3)) for _ in range(scene.rx.m))
-            a = get_routes(scene, graph, WavefrontSpec(doas=doas))
-            b = get_routes(rot, rot_graph,
-                           WavefrontSpec(doas=tuple(R @ d for d in doas)))
+            a = get_routes(graph, WavefrontSpec(doas=doas))
+            b = get_routes(rot_graph, WavefrontSpec(doas=tuple(R @ d for d in doas)))
             assert [r.antenna_index for r in a.routes] == \
                    [r.antenna_index for r in b.routes]
             assert [r.last_ris_id for r in a.routes] == \
@@ -448,14 +447,14 @@ class TestCellClaim:
 
     def assert_like_full_scan(self, scene, trials, seed, scans):
         graph = build_graph(scene)
-        no_cells = replace(scene, ris_grid=None)      # every claim a full scan
+        no_cells = build_graph(replace(scene, ris_grid=None))    # every claim a full scan
         claims = 0
         for ss in np.random.SeedSequence(seed).spawn(trials):
             spec = sample_wavefront(scene, np.random.default_rng(ss))
-            fast = get_routes(scene, graph, spec)
+            fast = get_routes(graph, spec)
             claims += len(spec.doas)
             before = len(scans)
-            assert route_key(fast) == route_key(get_routes(no_cells, graph, spec))
+            assert route_key(fast) == route_key(get_routes(no_cells, spec))
             assert len(scans) - before == len(spec.doas)
             del scans[before:]
         assert len(scans) < claims / 2     # the cell claim served most of them
@@ -494,7 +493,7 @@ class TestCellClaim:
         centers = scene.ris_centers
         assert np.linalg.norm(centers[9] - point) == np.linalg.norm(centers[10] - point)
         assert scene.ris_cells.candidates(point, np.array([1])) == [[]]
-        routes = get_routes(scene, build_graph(scene), WavefrontSpec(doas=[(0.0, 0.0, 1.0)]))
+        routes = get_routes(build_graph(scene), WavefrontSpec(doas=[(0.0, 0.0, 1.0)]))
         assert [r.last_ris_id for r in routes.routes] == [9]
         assert len(scans) == 1
         # a hair inside cell 10, it comes first, then cell 9
@@ -520,7 +519,7 @@ class TestCellClaim:
         claims = 0
         for _ in range(5):
             spec = WavefrontSpec(doas=[unit(rng.normal(size=3)) for _ in range(scene.rx.m)])
-            got = get_routes(scene, graph, spec)
+            got = get_routes(graph, spec)
             expected = reference_get_routes(scene, spec)
             claims += sum(rid != NO_HIT for rid, _, _ in expected)
             assert got.failures == tuple((i, rid) for i, (rid, _, _) in enumerate(expected)
