@@ -23,7 +23,7 @@ from .experiment import (MAX_BINS, CellFitError, ExperimentConfig, SceneParams,
                          WorkerLostError, build_scene, fit_models, run_sweep)
 from .routing import WavefrontSpec, get_routes
 from .scene import SceneError, build_graph
-from .statfit import DegenerateDataError, DeviationDataset, make_histogram
+from .statfit import DegenerateDataError, DeviationDataset
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
@@ -119,7 +119,7 @@ def load_config(path, seed_override=None):
     if path is None:
         return config_from_raw({}, seed_override)
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}")
     return config_from_raw(parse_config_text(text), seed_override)
@@ -164,14 +164,14 @@ def cmd_sweep(args):
         (out / "manifest.json").unlink(missing_ok=True)
         lines = {name: [header] for name, header in _CSV_HEADERS.items()}
         for res in results:
-            rep = res.report
-            cell = f"{rep.d_r!r},{rep.m_side},"
+            fit = res.fit
+            cell = f"{res.d_r!r},{res.m_side},"
             lines["deviations.csv"].extend(cell + _csv_row(record) for record in res.records)
             lines["fits.csv"].append(cell + _csv_row((
-                rep.n_samples, rep.n_failures, rep.gamma.k_hat, rep.gamma.theta_hat,
-                rep.rayleigh.sigma_hat, rep.kld_gamma, rep.kld_rayleigh,
-                rep.gamma.log_likelihood, rep.rayleigh.log_likelihood)))
-            hist = make_histogram(res.dataset, config.n_bins)
+                res.dataset.n, res.n_failures, fit.gamma.k_hat, fit.gamma.theta_hat,
+                fit.rayleigh.sigma_hat, fit.kld_gamma, fit.kld_rayleigh,
+                fit.gamma.log_likelihood, fit.rayleigh.log_likelihood)))
+            hist = fit.histogram
             edges = hist.bin_edges.tolist()
             lines["histograms.csv"].extend(cell + _csv_row(bin_) for bin_ in zip(
                 edges, edges[1:], hist.counts.tolist(), hist.densities.tolist()))
@@ -204,7 +204,7 @@ def cmd_route(args):
     except ConfigError as exc:
         return _fail(exc, EXIT_BAD_CONFIG)
     try:
-        spec_raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+        spec_raw = json.loads(Path(args.spec).read_text(encoding="utf-8-sig"))
     # ValueError: not UTF-8, not JSON, or an int past 4300 digits;
     # RecursionError: lists nested too deep
     except (OSError, ValueError, RecursionError) as exc:
@@ -259,7 +259,7 @@ def cmd_fit(args):
     if not 2 <= args.bins <= MAX_BINS:
         return _fail(f"--bins must be between 2 and {MAX_BINS}", EXIT_BAD_CONFIG)
     try:
-        with open(args.data, newline="", encoding="utf-8") as fh:
+        with open(args.data, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or "phi_deg" not in reader.fieldnames:
                 return _fail("data file needs a phi_deg column", EXIT_BAD_CONFIG)
@@ -272,17 +272,17 @@ def cmd_fit(args):
         return _fail("phi_deg values must be nonempty, finite and non-negative", EXIT_BAD_CONFIG)
     data = DeviationDataset(samples=samples, d_r=float("nan"), m=0)
     try:
-        gamma, rayleigh, kld_gamma, kld_rayleigh = fit_models(data, args.bins)
+        fit = fit_models(data, args.bins)
     except (ValueError, DegenerateDataError) as exc:
         return _fail(exc, EXIT_BAD_CONFIG)
     payload = {
         "n": data.n,
-        "gamma": {"k_hat": gamma.k_hat, "theta_hat": gamma.theta_hat,
-                  "log_likelihood": gamma.log_likelihood},
-        "rayleigh": {"sigma_hat": rayleigh.sigma_hat,
-                     "log_likelihood": rayleigh.log_likelihood},
-        "kld_gamma": kld_gamma,
-        "kld_rayleigh": kld_rayleigh,
+        "gamma": {"k_hat": fit.gamma.k_hat, "theta_hat": fit.gamma.theta_hat,
+                  "log_likelihood": fit.gamma.log_likelihood},
+        "rayleigh": {"sigma_hat": fit.rayleigh.sigma_hat,
+                     "log_likelihood": fit.rayleigh.log_likelihood},
+        "kld_gamma": fit.kld_gamma,
+        "kld_rayleigh": fit.kld_rayleigh,
     }
     try:
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n",

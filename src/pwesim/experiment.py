@@ -15,8 +15,8 @@ from .geometry import (AntennaArray, Aperture, WallPlane, grid_shape, norm,
                        tile_wall, trace_walls)
 from .routing import WavefrontSpec, get_routes
 from .scene import Scene, SceneError, build_graph
-from .statfit import (DegenerateDataError, DeviationDataset, fit_gamma_mle,
-                      fit_rayleigh_mle, gamma_pdf, kld_empirical, rayleigh_pdf)
+from .statfit import (DegenerateDataError, DeviationDataset, Fit, fit_gamma_mle,
+                      fit_rayleigh_mle, gamma_pdf, kld_empirical, make_histogram, rayleigh_pdf)
 
 MAX_REJECTIONS = 10_000
 # config bounds: past them a sweep exhausts memory instead of failing up front
@@ -93,23 +93,14 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class FitReport:
+class CellResult:
     d_r: float
     m_side: int
-    gamma: object
-    rayleigh: object
-    kld_gamma: float
-    kld_rayleigh: float
-    n_samples: int
-    n_failures: int
-
-
-@dataclass(frozen=True)
-class CellResult:
     dataset: DeviationDataset
-    report: FitReport
+    n_failures: int
     # one row per routed antenna: (trial, antenna_index, phi_deg, last_ris_id, path_len)
     records: tuple
+    fit: Fit
 
 
 def build_scene(params, d_r, m_side):
@@ -179,7 +170,7 @@ def build_scene(params, d_r, m_side):
     dy = ((steps - (m_side - 1) / 2.0) * params.rx_spacing)[:, None]          # by c
     dz = (((m_side - 1) / 2.0 - steps) * params.rx_spacing)[:, None, None]    # by r
     antennas = (center + dy * ey + dz * ez).reshape(-1, 3)
-    rx = AntennaArray(antennas=antennas, rows=m_side, cols=m_side, boresight=-ex)
+    rx = AntennaArray(antennas=antennas, boresight=-ex)
     return Scene(walls=walls, openings=openings, ris_centers=ris_centers,
                  ris_walls=ris_walls, tx=tx, rx=rx, ris_grid=d_r)
 
@@ -263,27 +254,25 @@ def run_cell(config, d_r, m_side):
         raise SceneError(f"cell (d_r={d_r}, M={m_side}): {exc}") from exc
     dataset = DeviationDataset(samples=np.array(phis), d_r=d_r, m=m_side * m_side)
     try:
-        gamma, rayleigh, kld_gamma, kld_rayleigh = fit_models(dataset, config.n_bins)
+        fit = fit_models(dataset, config.n_bins)
     except (ValueError, DegenerateDataError) as exc:
         raise CellFitError(f"cell (d_r={d_r}, M={m_side}): {exc}") from exc
-    report = FitReport(d_r=d_r, m_side=m_side, gamma=gamma, rayleigh=rayleigh,
-                       kld_gamma=kld_gamma, kld_rayleigh=kld_rayleigh,
-                       n_samples=dataset.n, n_failures=n_failures)
-    return CellResult(dataset=dataset, report=report, records=tuple(records))
+    return CellResult(d_r=d_r, m_side=m_side, dataset=dataset, n_failures=n_failures,
+                      records=tuple(records), fit=fit)
 
 
 def fit_models(dataset, n_bins):
-    """(gamma, rayleigh, kld_gamma, kld_rayleigh): both models' MLE fits of
-    `dataset` and each fitted density's KLD against its n_bins histogram.
+    """The `Fit` of `dataset`: both models' MLE fits, its n_bins histogram
+    and each fitted density's KLD against that histogram.
 
     Raises ValueError or DegenerateDataError for data that cannot be fitted.
     """
     gamma = fit_gamma_mle(dataset)
     rayleigh = fit_rayleigh_mle(dataset)
-    return (gamma, rayleigh,
-            kld_empirical(dataset, lambda x: gamma_pdf(x, gamma.k_hat, gamma.theta_hat),
-                          n_bins),
-            kld_empirical(dataset, lambda x: rayleigh_pdf(x, rayleigh.sigma_hat), n_bins))
+    hist = make_histogram(dataset, n_bins)
+    kld_gamma = kld_empirical(hist, lambda x: gamma_pdf(x, gamma.k_hat, gamma.theta_hat))
+    kld_rayleigh = kld_empirical(hist, lambda x: rayleigh_pdf(x, rayleigh.sigma_hat))
+    return Fit(gamma, rayleigh, hist, kld_gamma, kld_rayleigh)
 
 
 def _cell_weight(cell):

@@ -8,7 +8,10 @@ functions.
 There is one ray trace rule, `trace_walls`: a broadcast over (rays x walls)
 of the slab-style ray/plane test (Williams et al., "An Efficient and Robust
 Ray-Box Intersection Algorithm", JGT 2005) that keeps each ray's first wall
-in id order, as arrays of wall columns and points. The trace, `norm`,
+in id order, as arrays of wall columns and points. There is one wall
+test, `WallTable.solid`: on the wall rectangle and outside every opening,
+edges counted within EXTENT_SLACK. The trace and the line-of-sight test
+`segments_clear_batch` both read a `WallTable` and ask it. The trace, `norm`,
 `unit` and `is_unit` take every 3-vector dot product through `np.vecdot`,
 which rounds exactly as a scalar `np.dot` of the same two vectors (einsum,
 `@` and axis sums do not), so a batched result equals the one-vector result
@@ -96,29 +99,28 @@ class Aperture:
 
 @dataclass(frozen=True)
 class AntennaArray:
-    """Planar rows x cols receiver array; `antennas` is a read-only
-    (rows*cols, 3) array, row-major: antenna i is row i."""
+    """Receiver array; `antennas` is a read-only (M, 3) array, antenna i is
+    row i."""
 
     antennas: np.ndarray
-    rows: int
-    cols: int
     boresight: np.ndarray
 
     def __post_init__(self):
         antennas = np.array(self.antennas, dtype=float)
-        if antennas.shape != (self.rows * self.cols, 3):
-            raise ValueError("antenna count must equal rows*cols")
+        if antennas.ndim != 2 or antennas.shape[1] != 3:
+            raise ValueError("antennas must be an (M, 3) array")
         antennas.setflags(write=False)
         object.__setattr__(self, "antennas", antennas)
         object.__setattr__(self, "boresight", unit(self.boresight))
 
     @property
     def m(self):
-        return self.rows * self.cols
+        return len(self.antennas)
 
 
 class WallTable:
-    """`walls` stacked into arrays for `trace_walls`; column k is walls[k].
+    """`walls` stacked into arrays for `trace_walls` and `segments_clear_batch`,
+    with `solid`, the one wall test of both; column k is walls[k].
 
     Each opening keeps a boolean mask of the columns whose wall it pierces.
     """
@@ -132,6 +134,17 @@ class WallTable:
         self.u_limit = np.array([w.u_extent for w in walls], dtype=float) + EXTENT_SLACK
         self.v_limit = np.array([w.v_extent for w in walls], dtype=float) + EXTENT_SLACK
         self.openings = [(self.ids == op.wall_id, op) for op in openings]
+
+    def solid(self, cols, u, v):
+        """Whether wall coordinates (u, v) are wall: on the rectangle and off
+        every opening, edges within EXTENT_SLACK. cols: one column, or a
+        column index (`slice(None)`: all) over the last axis of u and v."""
+        out = (np.abs(u) <= self.u_limit[cols]) & (np.abs(v) <= self.v_limit[cols])
+        for pierced, op in self.openings:
+            if pierced[cols].any():
+                out = out & ~(pierced[cols] & (np.abs(u - op.u_center) <= op.u_half + EXTENT_SLACK)
+                              & (np.abs(v - op.v_center) <= op.v_half + EXTENT_SLACK))
+        return out
 
 
 def trace_walls(points, dirs, table):
@@ -152,13 +165,9 @@ def trace_walls(points, dirs, table):
         denom = np.vecdot(dirs, table.n)                     # (M, W)
         d = np.vecdot(table.p0 - points, table.n) / denom
         p = points + d[..., None] * dirs                     # (M, W, 3)
-        u = np.vecdot(p - table.p0, table.u_axis)
-        v = np.vecdot(p - table.p0, table.v_axis)
+        q = p - table.p0
         hit = (~(np.abs(denom) < PARALLEL_EPS) & ~(d <= 0.0)
-               & (np.abs(u) <= table.u_limit) & (np.abs(v) <= table.v_limit))
-        for cols, op in table.openings:
-            hit[:, cols] &= ~((np.abs(u[:, cols] - op.u_center) <= op.u_half + EXTENT_SLACK)
-                              & (np.abs(v[:, cols] - op.v_center) <= op.v_half + EXTENT_SLACK))
+               & table.solid(slice(None), np.vecdot(q, table.u_axis), np.vecdot(q, table.v_axis)))
     if not hit.shape[1]:
         return np.full(len(hit), -1), np.full((len(hit), 3), np.nan)
     rows = np.arange(len(hit))
@@ -171,42 +180,31 @@ def trace_walls(points, dirs, table):
 ray_wall_point = trace_walls
 
 
-def segments_clear_batch(a, bs, walls, openings=()):
+def segments_clear_batch(a, bs, table):
     """Segment test from one origin, or a stack of origins, to many endpoints.
 
-    a: (3,) origin or (L, 1, 3) origins; bs: (N, 3) endpoints. Returns a bool
-    (N,) or (L, N) array, True where the open segment (a, b) has a positive
-    length and crosses no wall outside an opening: a point is no line of
-    sight to itself. Each origin's row equals its own (N,) call bit for
-    bit: the (N, 3) products stay stacked per origin, and `np.vecdot` rounds
-    the plane term like the scalar dot.
+    a: (3,) origin or (L, 1, 3) origins; bs: (N, 3) endpoints; table: a
+    `WallTable`. Returns a bool (N,) or (L, N) array, True where the open
+    segment (a, b) has a positive length and crosses no `table.solid` point:
+    a point is no line of sight to itself. Each origin's row equals its own
+    (N,) call bit for bit: the (N, 3) products stay stacked per origin, and
+    `np.vecdot` rounds the plane term like the scalar dot.
     """
     a = np.asarray(a, dtype=float)
     bs = np.asarray(bs, dtype=float)
     ab = bs - a                                  # (N, 3) or (L, N, 3)
     lengths = np.linalg.norm(ab, axis=-1)
     clear = lengths > 0.0
-    for wall in walls:
-        denom = ab @ wall.n                      # (N,) or (L, N)
+    for k, (n, p0) in enumerate(zip(table.n, table.p0)):
+        denom = ab @ n                           # (N,) or (L, N)
         crossing = np.abs(denom) >= PARALLEL_EPS
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(crossing, np.vecdot(wall.p0 - a, wall.n) / np.where(crossing, denom, 1.0),
-                         0.0)
+            t = np.where(crossing, np.vecdot(p0 - a, n) / np.where(crossing, denom, 1.0), 0.0)
         interior = crossing & (t * lengths >= ENDPOINT_EPS) & ((1.0 - t) * lengths >= ENDPOINT_EPS)
         if not interior.any():
             continue
-        p = a + t[..., None] * ab
-        du = (p - wall.p0) @ wall.u_axis
-        dv = (p - wall.p0) @ wall.v_axis
-        on_wall = interior & (np.abs(du) <= wall.u_extent + EXTENT_SLACK) \
-                           & (np.abs(dv) <= wall.v_extent + EXTENT_SLACK)
-        for op in openings:
-            if op.wall_id != wall.id:
-                continue
-            in_open = (np.abs(du - op.u_center) <= op.u_half + EXTENT_SLACK) \
-                    & (np.abs(dv - op.v_center) <= op.v_half + EXTENT_SLACK)
-            on_wall &= ~in_open
-        clear &= ~on_wall
+        q = a + t[..., None] * ab - p0
+        clear &= ~(interior & table.solid(k, q @ table.u_axis[k], q @ table.v_axis[k]))
     return clear
 
 

@@ -212,7 +212,7 @@ class PweGraph:
         cached = self._antenna_rows.get(index)
         if cached is None:
             cached = segments_clear_batch(self.scene.rx.antennas[index], self.scene.ris_centers,
-                                          self.scene.walls, self.scene.openings)
+                                          self.scene.wall_table)
             cached.setflags(write=False)
             self._antenna_rows[index] = cached
         return cached
@@ -223,7 +223,7 @@ class PweGraph:
         cached = self._rows.get(v)
         if cached is None:
             cached = segments_clear_batch(self.positions[v], self.positions,
-                                          self.scene.walls, self.scene.openings)
+                                          self.scene.wall_table)
             cached.setflags(write=False)
             self._rows[v] = cached
         return cached
@@ -251,7 +251,7 @@ class PweGraph:
                 break
             chunk = seen_by_tx[lo:lo + PATH_CHUNK]
             clear = segments_clear_batch(self.positions[pending][:, None, :], self.positions[chunk],
-                                         self.scene.walls, self.scene.openings)
+                                         self.scene.wall_table)
             cleared = clear.any(axis=1).tolist()
             hops = chunk[clear.argmax(axis=1)].tolist()
             self._paths.update((last, (tx, hop, last))

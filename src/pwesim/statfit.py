@@ -68,6 +68,17 @@ class Histogram:
         return np.diff(self.bin_edges)
 
 
+@dataclass(frozen=True)
+class Fit:
+    """Both MLE fits of one dataset, its histogram and each fit's KLD against it."""
+
+    gamma: GammaFit
+    rayleigh: RayleighFit
+    histogram: Histogram
+    kld_gamma: float
+    kld_rayleigh: float
+
+
 def gamma_pdf(x, k, theta):
     """Gamma density x^(k-1) e^(-x/theta) / (Gamma(k) theta^k)."""
     if k <= 0 or theta <= 0:
@@ -220,17 +231,17 @@ def make_histogram(data, n_bins=10):
     return Histogram(bin_edges=edges, counts=counts, densities=densities)
 
 
-def kld_empirical(data, model_pdf, n_bins=10):
-    """Discretized KL divergence between the sample histogram and a model pdf.
+def kld_empirical(hist, model_pdf):
+    """Discretized KL divergence between a sample histogram and a model pdf.
 
-    Bin masses from the histogram are compared against the model's midpoint
-    rule mass per bin; both sides get additive smoothing and renormalization,
-    which keeps the estimate finite and non-negative.
+    The histogram's bin masses are compared against the model's midpoint
+    rule mass per bin, the pdf taking all bin midpoints in one call; both
+    sides get additive smoothing and renormalization, which keeps the
+    estimate finite and non-negative.
     """
-    hist = make_histogram(data, n_bins)
-    p = hist.counts / data.n
+    p = hist.counts / hist.counts.sum()
     mids = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
-    q = np.asarray([float(model_pdf(m)) for m in mids]) * hist.widths
+    q = np.asarray(model_pdf(mids), dtype=float) * hist.widths
     if (q < 0).any():
         raise ValueError("model pdf must be non-negative")
     p = p + KLD_SMOOTHING

@@ -28,8 +28,7 @@ def box_walls(size=(4.0, 4.0, 3.0), id_start=0):
 
 
 def single_antenna_array(position, boresight=(0.0, 0.0, 1.0)):
-    return AntennaArray(antennas=(np.asarray(position, dtype=float),),
-                        rows=1, cols=1, boresight=boresight)
+    return AntennaArray(antennas=(np.asarray(position, dtype=float),), boresight=boresight)
 
 
 def ris_on_wall(wall, u, v):
@@ -56,7 +55,6 @@ def rotate_scene(scene, R):
 
     ris = [R @ c for c in scene.ris_centers]
     rx = AntennaArray(antennas=tuple(R @ np.asarray(a) for a in scene.rx.antennas),
-                      rows=scene.rx.rows, cols=scene.rx.cols,
                       boresight=R @ np.asarray(scene.rx.boresight, float))
     return Scene(walls=[rw(w) for w in scene.walls], openings=list(scene.openings),
                  ris_centers=ris, ris_walls=scene.ris_walls,

@@ -48,7 +48,7 @@ def sweep():
     start = time.perf_counter()
     results = run_sweep(SWEEP_CONFIG)
     elapsed = time.perf_counter() - start
-    by_cell = {(c.report.m_side, c.report.d_r): c for c in results}
+    by_cell = {(c.m_side, c.d_r): c for c in results}
     return by_cell, elapsed
 
 
@@ -94,17 +94,17 @@ def test_criterion_4_kld_sanity():
     hist = make_histogram(data, 10)
 
     def self_pdf(x):
-        b = int(np.clip(np.searchsorted(hist.bin_edges, x, side="right") - 1,
-                        0, len(hist.densities) - 1))
-        return float(hist.densities[b])
+        b = np.clip(np.searchsorted(hist.bin_edges, x, side="right") - 1,
+                    0, len(hist.densities) - 1)
+        return hist.densities[b]
 
-    ok = kld_empirical(data, self_pdf, 10) <= 1e-9
+    ok = kld_empirical(hist, self_pdf) <= 1e-9
     for _ in range(1000):
         ds = DeviationDataset(
             samples=rng.gamma(rng.uniform(0.5, 5), rng.uniform(0.5, 5), size=100),
             d_r=0.0, m=0)
         k, theta = rng.uniform(0.5, 5, size=2)
-        ok = ok and kld_empirical(ds, lambda x: gamma_pdf(x, k, theta)) >= 0.0
+        ok = ok and kld_empirical(make_histogram(ds), lambda x: gamma_pdf(x, k, theta)) >= 0.0
     report(4, "KLD self-zero and non-negativity", ok)
 
 
@@ -185,8 +185,8 @@ def test_criterion_8_parameter_trends(sweep):
     by_cell, elapsed = sweep
     ok = elapsed < 120.0
     for m in SWEEP_M:
-        first = by_cell[(m, SWEEP_D_R[0])].report
-        last = by_cell[(m, SWEEP_D_R[-1])].report
+        first = by_cell[(m, SWEEP_D_R[0])].fit
+        last = by_cell[(m, SWEEP_D_R[-1])].fit
         ok = ok and last.gamma.k_hat < first.gamma.k_hat
         ok = ok and last.gamma.theta_hat > first.gamma.theta_hat
         ok = ok and last.rayleigh.sigma_hat > first.rayleigh.sigma_hat
@@ -195,7 +195,7 @@ def test_criterion_8_parameter_trends(sweep):
 
 def test_criterion_9_gamma_beats_rayleigh(sweep):
     by_cell, _ = sweep
-    ok = all(c.report.kld_gamma < c.report.kld_rayleigh
+    ok = all(c.fit.kld_gamma < c.fit.kld_rayleigh
              for c in by_cell.values())
     report(9, "gamma model wins every cell", ok)
 

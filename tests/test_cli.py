@@ -43,6 +43,14 @@ def write_config(tmp_path, text=SMALL_CONFIG, name="cfg.txt"):
     return path
 
 
+def bom_copy(path):
+    """A copy of `path` beside it, led by a UTF-8 byte-order mark (as
+    spreadsheet exports and some editors save text)."""
+    copy = path.with_name("bom_" + path.name)
+    copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return copy
+
+
 class TestConfigParsing:
     def test_round_trip(self):
         raw = parse_config_text(SMALL_CONFIG)
@@ -188,6 +196,16 @@ class TestConfigBoundary:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]
                     + extra) == 1
         assert_one_line_error(capsys, "cannot read config")
+
+    def test_config_with_bom_sweeps_as_without(self, tmp_path):
+        cfg = write_config(tmp_path, "d_r_values = [0.5]\nm_sides = [2]\nn_trials = 4\n")
+        tables = []
+        for path in (cfg, bom_copy(cfg)):
+            out = tmp_path / f"out_{path.stem}"
+            assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+            tables.append([(out / name).read_bytes()
+                           for name in ("deviations.csv", "fits.csv", "histograms.csv")])
+        assert tables[0] == tables[1]
 
     def test_value_nested_too_deep_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "seed = " + "[" * 100_000 + "]" * 100_000 + "\n")
@@ -423,6 +441,20 @@ class TestSweepCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["files"] == GOLDEN_SMALL_SWEEP
 
+    def test_one_histogram_per_cell(self, tmp_path, monkeypatch):
+        # the cell's KLDs and its histograms.csv rows read one histogram
+        calls = []
+        histogram = np.histogram
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return histogram(*args, **kwargs)
+
+        monkeypatch.setattr(np, "histogram", counting)
+        assert main(["sweep", "--config", str(write_config(tmp_path)),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -524,6 +556,17 @@ class TestRouteCommand:
         assert payload["failures"] == []
         assert [r["last_ris_id"] for r in payload["routes"]] == [225]
         np.testing.assert_array_equal(scene.ris_centers[225], (9.75, 0.25, 0.0))
+
+    def test_spec_with_bom_routes_as_without(self, tmp_path):
+        cfg = write_config(tmp_path)
+        spec = self._spec_path(tmp_path, [(-1.0, 0.0, 0.0)] * 4)
+        outs = []
+        for path in (spec, bom_copy(spec)):
+            out = tmp_path / f"routes_{path.stem}.json"
+            assert main(["route", "--config", str(cfg), "--spec", str(path),
+                         "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert json.loads(outs[0])["routes"] and outs[0] == outs[1]
 
     def test_size_mismatch_exit_1(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -674,6 +717,15 @@ class TestFitCommand:
         assert main(["fit", "--data", str(path), "--out", str(out)]) == 1
         assert_one_line_error(capsys, "repeats", "phi_deg")
         assert not out.exists()
+
+    def test_data_with_bom_fits_as_without(self, tmp_path):
+        data = self._data_path(tmp_path, [3.0, 4.0, 7.5])
+        outs = []
+        for path in (data, bom_copy(data)):
+            out = tmp_path / f"fit_{path.stem}.json"
+            assert main(["fit", "--data", str(path), "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_missing_column_exit_1(self, tmp_path):
         path = tmp_path / "data.csv"

@@ -22,6 +22,14 @@ def tiny_config(**kw):
     return ExperimentConfig(**base)
 
 
+def fit_row(cell):
+    """A cell's fits.csv and histograms.csv values, comparable with ==."""
+    fit = cell.fit
+    return (cell.d_r, cell.m_side, cell.dataset.n, cell.n_failures, fit.gamma, fit.rayleigh,
+            fit.kld_gamma, fit.kld_rayleigh, fit.histogram.bin_edges.tolist(),
+            fit.histogram.counts.tolist(), fit.histogram.densities.tolist())
+
+
 class TestSceneParams:
     def test_defaults(self):
         scene = build_scene(SceneParams(), d_r=0.5, m_side=4)
@@ -347,9 +355,8 @@ class TestRunCell:
     def test_accounting(self):
         cfg = tiny_config()
         cell = run_cell(cfg, 0.5, 2)
-        assert cell.report.n_samples + cell.report.n_failures == 5 * 4
-        assert cell.dataset.n == cell.report.n_samples
-        assert len(cell.records) == cell.report.n_samples
+        assert cell.dataset.n + cell.n_failures == 5 * 4
+        assert len(cell.records) == cell.dataset.n
 
     def test_determinism(self):
         cfg = tiny_config()
@@ -357,7 +364,7 @@ class TestRunCell:
         b = run_cell(cfg, 0.5, 2)
         np.testing.assert_array_equal(a.dataset.samples, b.dataset.samples)
         assert a.records == b.records
-        assert a.report.gamma == b.report.gamma
+        assert a.fit.gamma == b.fit.gamma
 
     def test_seed_changes_samples(self):
         a = run_cell(tiny_config(seed=1), 0.5, 2)
@@ -374,7 +381,7 @@ class TestRunCell:
             assert plen >= 2
 
     def test_fit_fields_finite(self):
-        rep = run_cell(tiny_config(n_trials=10), 0.5, 2).report
+        rep = run_cell(tiny_config(n_trials=10), 0.5, 2).fit
         for v in (rep.gamma.k_hat, rep.gamma.theta_hat, rep.rayleigh.sigma_hat,
                   rep.kld_gamma, rep.kld_rayleigh):
             assert np.isfinite(v) and v > 0.0
@@ -384,7 +391,7 @@ class TestRunSweep:
     def test_cell_order_and_isolation(self):
         cfg = tiny_config(d_r_values=(0.45, 0.55), m_sides=(2, 3), n_trials=4)
         cells = run_sweep(cfg)
-        got = [(c.report.m_side, c.report.d_r) for c in cells]
+        got = [(c.m_side, c.d_r) for c in cells]
         assert got == [(2, 0.45), (2, 0.55), (3, 0.45), (3, 0.55)]
         # each cell independently reproducible
         lone = run_cell(cfg, 0.55, 3)
@@ -397,7 +404,7 @@ class TestRunSweep:
         par = run_sweep(cfg, threads=4)
         for a, b in zip(seq, par):
             np.testing.assert_array_equal(a.dataset.samples, b.dataset.samples)
-            assert a.report == b.report
+            assert fit_row(a) == fit_row(b)
 
 
 class InlinePool:
@@ -437,10 +444,10 @@ class TestWorkerPool:
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cores)))
         cells = run_sweep(self.CFG, threads=threads)
         assert [p.max_workers for p in pools] == [workers]
-        assert [(c.report.m_side, c.report.d_r) for c in cells] == \
+        assert [(c.m_side, c.d_r) for c in cells] == \
             [(2, 0.45), (2, 0.55), (3, 0.45), (3, 0.55)]
         for got, want in zip(cells, run_sweep(self.CFG, threads=1)):
-            assert got.report == want.report and got.records == want.records
+            assert fit_row(got) == fit_row(want) and got.records == want.records
 
     def test_workers_capped_at_cpu_count_without_affinity(self, pools, monkeypatch):
         # os.sched_getaffinity exists only on Linux; elsewhere all cores count
@@ -448,7 +455,7 @@ class TestWorkerPool:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         cells = run_sweep(self.CFG, threads=8)
         assert [p.max_workers for p in pools] == [3]
-        assert [(c.report.m_side, c.report.d_r) for c in cells] == \
+        assert [(c.m_side, c.d_r) for c in cells] == \
             [(2, 0.45), (2, 0.55), (3, 0.45), (3, 0.55)]
 
     def test_heaviest_cell_first(self, pools):

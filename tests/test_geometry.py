@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pwesim.experiment import SceneParams, build_scene
-from pwesim.geometry import (Aperture, WallPlane, WallTable, segments_clear_batch,
+from pwesim.geometry import (EXTENT_SLACK, Aperture, WallPlane, WallTable, segments_clear_batch,
                              tile_wall, trace_walls, unit)
 from pwesim.scene import PATH_CHUNK, build_graph
 
 from conftest import box_walls, rotate_scene
-from oracles import _ref_hit_point, first_hits, local_uv, ray_wall_scale, segment_clear
+from oracles import (_in_opening, _on_wall, _ref_hit_point, first_hits, local_uv,
+                     ray_wall_scale, segment_clear)
 from test_routing import three_room_scene
 
 
@@ -251,8 +252,9 @@ class TestSegmentClear:
         # stacked form alike
         walls = box_walls((4, 4, 3))
         bs = np.array([[1.0, 1.0, 1.0], [3.0, 3.0, 2.0]])
-        assert segments_clear_batch(bs[0], bs, walls).tolist() == [False, True]
-        stacked = segments_clear_batch(bs[:, None, :], bs, walls)
+        table = WallTable(walls)
+        assert segments_clear_batch(bs[0], bs, table).tolist() == [False, True]
+        stacked = segments_clear_batch(bs[:, None, :], bs, table)
         assert stacked.tolist() == [[False, True], [True, False]]
 
     def test_batch_matches_scalar(self, rng):
@@ -261,7 +263,7 @@ class TestSegmentClear:
                          u_half=0.5, v_half=0.5)]
         a = np.array([1.0, 1.0, 1.0])
         bs = rng.uniform((-1, 0.1, 0.1), (5, 3.9, 2.9), size=(100, 3))
-        batch = segments_clear_batch(a, bs, walls, door)
+        batch = segments_clear_batch(a, bs, WallTable(walls, door))
         for b, got in zip(bs, batch):
             assert got == segment_clear(a, b, walls, door)
 
@@ -291,14 +293,93 @@ class TestSegmentClear:
         ends = np.vstack([scene.ris_centers[np.flatnonzero(tx_row)[:PATH_CHUNK]], door_edges])
         origins = np.vstack([scene.ris_centers[~tx_row][::3], scene.tx, scene.rx.antennas,
                              outside])
-        got = segments_clear_batch(origins[:, None, :], ends, scene.walls, scene.openings)
+        got = segments_clear_batch(origins[:, None, :], ends, scene.wall_table)
         assert got.shape == (len(origins), len(ends))
-        rows = [segments_clear_batch(a, ends, scene.walls, scene.openings) for a in origins]
+        rows = [segments_clear_batch(a, ends, scene.wall_table) for a in origins]
         np.testing.assert_array_equal(got, rows)
         for a, row in zip(origins, got):
             assert row.tolist() == [segment_clear(a, b, scene.walls, scene.openings)
                                     for b in ends]
         assert (~got[:, :-len(door_edges)]).all(axis=1).any()   # an origin that sees no unit
+
+
+class TestWallTest:
+    """`WallTable.solid`, the wall test of `trace_walls` and
+    `segments_clear_batch`, against the scalar oracles."""
+
+    scene = build_scene(SceneParams(), d_r=0.5, m_side=4)
+    # 0.5 slack inside an edge's tolerance, 2 slack past it, either side
+    NEAR = [s * f * EXTENT_SLACK for s in (-1.0, 1.0) for f in (0.5, 2.0)]
+    CASES = ["door", "no_door", "three_rooms"]
+
+    def case(self, name):
+        """(walls, openings of the table, openings whose edges to probe)."""
+        scene = three_room_scene() if name == "three_rooms" else self.scene
+        return scene.walls, [] if name == "no_door" else scene.openings, scene.openings
+
+    @classmethod
+    def near_edges(cls, wall, openings):
+        """The u values, then the v values, near the edges of `wall` and of
+        every opening, on that wall or not."""
+        u_edges = [wall.u_extent, -wall.u_extent] + [op.u_center + s * op.u_half
+                                                     for op in openings for s in (-1.0, 1.0)]
+        v_edges = [wall.v_extent, -wall.v_extent] + [op.v_center + s * op.v_half
+                                                     for op in openings for s in (-1.0, 1.0)]
+        return [[e + d for e in edges for d in cls.NEAR] for edges in (u_edges, v_edges)]
+
+    @staticmethod
+    def assert_like_oracle(walls, openings, u, v):
+        """solid on (n, W) coordinates, column k of u and v on walls[k],
+        for all columns at once, one column and one point."""
+        table = WallTable(walls, openings)
+        want = [[_on_wall(w, a, b) and not _in_opening(w, a, b, openings)
+                 for w, a, b in zip(walls, ru, rv)] for ru, rv in zip(u.tolist(), v.tolist())]
+        assert table.solid(slice(None), u, v).tolist() == want
+        for k in range(len(walls)):
+            assert table.solid(k, u[:, k], v[:, k]).tolist() == [row[k] for row in want]
+            assert bool(table.solid(k, float(u[0, k]), float(v[0, k]))) == want[0][k]
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_every_edge_point(self, name):
+        walls, openings, probed = self.case(name)
+        grids = [np.meshgrid(*self.near_edges(w, probed)) for w in walls]
+        u = np.stack([g[0].ravel() for g in grids], axis=1)
+        v = np.stack([g[1].ravel() for g in grids], axis=1)
+        self.assert_like_oracle(walls, openings, u, v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(CASES), data=st.data())
+    def test_edge_and_random_points(self, name, data):
+        walls, openings, probed = self.case(name)
+        n = data.draw(st.integers(1, 4))
+        uv = np.array([[[data.draw(st.sampled_from(near) | st.floats(-4.0, 4.0))
+                         for near in self.near_edges(w, probed)] for w in walls]
+                       for _ in range(n)])     # (n, W, 2)
+        self.assert_like_oracle(walls, openings, uv[..., 0], uv[..., 1])
+
+    def test_trace_and_line_of_sight_agree_at_the_door(self):
+        # rays from the antennas to divider points near the door's edges and
+        # corners: the trace stops on the divider exactly when the segment to
+        # the point 1 mm past it is blocked
+        (op,) = self.scene.openings
+        divider = self.scene.walls[0]
+        assert divider.id == op.wall_id == 0
+        uv = [(op.u_center + du * op.u_half + (eu if du else 0.0),
+               op.v_center + dv * op.v_half + (ev if dv else 0.0))
+              for du in (-1, 0, 1) for dv in (-1, 0, 1) if du or dv
+              for eu in self.NEAR for ev in self.NEAR]
+        points = np.array([divider.p0 + u * divider.u_axis + v * divider.v_axis
+                           for u, v in sorted(set(uv))])
+        table = self.scene.wall_table
+        blocked_seen = set()
+        for a in self.scene.rx.antennas:
+            dirs = unit(points - a)
+            first, _ = trace_walls(np.tile(a, (len(points), 1)), dirs, table)
+            ends = a + (np.linalg.norm(points - a, axis=1) + 1e-3)[:, None] * dirs
+            blocked = ~segments_clear_batch(a, ends, table)
+            assert ((first == 0) == blocked).all()
+            blocked_seen.update(blocked.tolist())
+        assert blocked_seen == {False, True}
 
 
 class TestTileWall:

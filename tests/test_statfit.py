@@ -252,10 +252,9 @@ class TestKld:
 
         def step_pdf(x):
             b = np.searchsorted(hist.bin_edges, x, side="right") - 1
-            b = min(max(b, 0), len(hist.densities) - 1)
-            return float(hist.densities[b])
+            return hist.densities[np.clip(b, 0, len(hist.densities) - 1)]
 
-        assert kld_empirical(ds, step_pdf, n_bins=10) <= 1e-9
+        assert kld_empirical(hist, step_pdf) <= 1e-9
 
     def test_non_negative_random_pairs(self, rng):
         for _ in range(200):
@@ -263,18 +262,19 @@ class TestKld:
                                    size=200))
             k = float(rng.uniform(0.5, 5))
             theta = float(rng.uniform(0.5, 5))
-            d = kld_empirical(ds, lambda x: gamma_pdf(x, k, theta))
+            d = kld_empirical(make_histogram(ds), lambda x: gamma_pdf(x, k, theta))
             assert d >= 0.0
 
     def test_true_model_scores_low(self):
         rng = np.random.default_rng(101)
         ds = dataset(rng.gamma(2.0, 3.0, size=20_000))
-        close = kld_empirical(ds, lambda x: gamma_pdf(x, 2.0, 3.0))
-        far = kld_empirical(ds, lambda x: gamma_pdf(x, 6.0, 1.0))
+        hist = make_histogram(ds)
+        close = kld_empirical(hist, lambda x: gamma_pdf(x, 2.0, 3.0))
+        far = kld_empirical(hist, lambda x: gamma_pdf(x, 6.0, 1.0))
         assert close <= 0.02
         assert far > close
 
     def test_rejects_negative_pdf(self, rng):
         ds = dataset(rng.uniform(0.1, 3.0, size=100))
         with pytest.raises(ValueError):
-            kld_empirical(ds, lambda x: -1.0)
+            kld_empirical(make_histogram(ds), lambda x: -1.0)
