@@ -25,9 +25,9 @@ MAX_M_SIDE = 64
 MAX_BINS = 10_000
 # RIS units one scene may tile; d_r = 0.02 lays 380,790 on the default walls
 MAX_RIS_UNITS = 1_000_000
-# antenna x RIS unit pairs one scene may hold: each antenna caches one bool
-# per unit, so this keeps the rows under ~100 MB and about a minute of work;
-# M = 64 at d_r = 0.15 on the default walls is ~27 M
+# antenna x RIS unit pairs one scene may hold: the graph's visibility matrix
+# holds one bool per pair, so this keeps it under ~100 MB and about a minute
+# of work; M = 64 at d_r = 0.15 on the default walls is ~27 M
 MAX_ANTENNA_RIS_PAIRS = 100_000_000
 
 

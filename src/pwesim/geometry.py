@@ -17,11 +17,26 @@ which rounds exactly as a scalar `np.dot` of the same two vectors (einsum,
 `@` and axis sums do not), so a batched result equals the one-vector result
 bit for bit.
 
+Line of sight from a whole antenna array is decided once per endpoint b by
+`array_visibility`, wall by wall, from the signed plane distances s of the
+corners of the array's axis-aligned box and of b (conservative from-region
+visibility, Cohen-Or et al., IEEE TVCG 2003). It is exact: s is affine, so
+the corners bound it over the convex box, and every antenna a in the box
+shares their side. A box on b's side never crosses the plane, and b on the
+plane is crossed within ENDPOINT_EPS of itself. A box on the far side is
+crossed at t with t |ab| >= |s_a|, so every crossing is interior; the
+central projection through b maps the convex box into the hull of its
+projected corners, whose bounding box `WallTable.box_solid` tests against
+the same bounds as `solid`. Every test keeps ARRAY_MARGIN, and a bound on
+the rounding of one plane distance, to spare; what it cannot decide is left
+to `segments_clear_batch`.
+
 There is one RIS tiling rule, `tile_wall`: the d_r grid centered on a wall,
 less the cells an opening overlaps. `grid_shape` counts its units before
 any is laid.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +46,9 @@ EXTENT_SLACK = 1e-9      # inclusive slack for wall-membership tests, meters
 PARALLEL_EPS = 1e-12     # |doa . n| below this counts as parallel
 ENDPOINT_EPS = 1e-9      # segment intersections this close to an endpoint are ignored, meters
 UNIT_TOL = 1e-9
+# a whole-array decision keeps this far from every bound it tests, meters:
+# far above ENDPOINT_EPS, EXTENT_SLACK and the rounding of one segment test
+ARRAY_MARGIN = 1e-7
 
 
 def norm(v):
@@ -146,6 +164,29 @@ class WallTable:
                               & (np.abs(v - op.v_center) <= op.v_half + EXTENT_SLACK))
         return out
 
+    def box_solid(self, k, lo, hi):
+        """Whether every point, and whether no point, of each uv box is wall
+        of column k by `solid`, with ARRAY_MARGIN to spare past every bound.
+        lo, hi: (2, N) lower and upper (u, v) corners; returns two bool (N,)."""
+        (u_lo, v_lo), (u_hi, v_hi) = lo, hi
+        margin = ARRAY_MARGIN
+        u_lim, v_lim = self.u_limit[k], self.v_limit[k]
+        every = ((np.maximum(-u_lo, u_hi) <= u_lim - margin)
+                 & (np.maximum(-v_lo, v_hi) <= v_lim - margin))
+        none = ((u_lo > u_lim + margin) | (u_hi < -u_lim - margin)
+                | (v_lo > v_lim + margin) | (v_hi < -v_lim - margin))
+        for pierced, op in self.openings:
+            if pierced[k]:
+                du = np.maximum(np.abs(u_lo - op.u_center), np.abs(u_hi - op.u_center))
+                dv = np.maximum(np.abs(v_lo - op.v_center), np.abs(v_hi - op.v_center))
+                u_half, v_half = op.u_half + EXTENT_SLACK, op.v_half + EXTENT_SLACK
+                every &= ((u_hi < op.u_center - u_half - margin)
+                          | (u_lo > op.u_center + u_half + margin)
+                          | (v_hi < op.v_center - v_half - margin)
+                          | (v_lo > op.v_center + v_half + margin))
+                none |= (du <= u_half - margin) & (dv <= v_half - margin)
+        return every, none
+
 
 def trace_walls(points, dirs, table):
     """First wall hit by each forward ray points[i] + d * dirs[i], d > 0.
@@ -206,6 +247,61 @@ def segments_clear_batch(a, bs, table):
         q = a + t[..., None] * ab - p0
         clear &= ~(interior & table.solid(k, q @ table.u_axis[k], q @ table.v_axis[k]))
     return clear
+
+
+def array_visibility(points, bs, table):
+    """Whole-array form of `segments_clear_batch`: per endpoint, whether
+    every origin sees it and whether none does, decided once for the box
+    around the origins; where neither holds, the endpoint is undecided.
+
+    points: (M, 3) origins, M >= 1; bs: (N, 3) endpoints; table: a
+    `WallTable`. Returns (seen, hidden), two bool (N,) arrays: where either
+    is True, every row of `segments_clear_batch(points[:, None, :], bs,
+    table)` holds that answer in that column.
+    """
+    points = np.asarray(points, dtype=float)
+    bs = np.asarray(bs, dtype=float)
+    box = np.stack([points.min(axis=0), points.max(axis=0)])
+    corners = np.array(sorted(set(itertools.product(*box.T.tolist()))))    # (K <= 8, 3)
+    # the longest segment from the box to each endpoint ends at a corner
+    reach = norm(np.maximum(np.abs(bs - box[0]), np.abs(bs - box[1])))
+    scale = max(np.abs(table.p0).max(initial=1.0), np.abs(bs).max(initial=1.0),
+                np.abs(box).max())
+    # bounds, with room to spare, the rounding of one computed plane distance
+    rounding = 32.0 * np.finfo(float).eps * scale
+    # a zero-length segment is no line of sight
+    seen = ((bs < box[0] - ARRAY_MARGIN) | (bs > box[1] + ARRAY_MARGIN)).any(axis=1)
+    hidden = np.zeros(len(bs), dtype=bool)
+    for k, (n, p0) in enumerate(zip(table.n, table.p0)):
+        s_c = np.vecdot(corners - p0, n)
+        side = 1.0 if s_c.min() >= ARRAY_MARGIN else -1.0 if s_c.max() <= -ARRAY_MARGIN else 0.0
+        if not side:            # the box meets the plane
+            seen[:] = False
+            continue
+        s_c = side * s_c
+        s_b = side * np.vecdot(bs - p0, n)    # > 0 on the box's side
+        gap = s_c.min() - s_b                 # least |s_a - s_b| over the box
+        # b on the box's side; or b on the plane, crossed |s_b| |ab| / |s_a -
+        # s_b| from itself, under ENDPOINT_EPS / 2 with the rounding included
+        clear = (s_b >= ARRAY_MARGIN) | ((np.abs(s_b) + rounding) * reach
+                                         <= 0.5 * ENDPOINT_EPS * gap)
+        # b on the far side, where rounding moves a crossing by about
+        # rounding * reach / gap: under ARRAY_MARGIN / 2
+        far = np.flatnonzero((s_b <= -ARRAY_MARGIN)
+                             & (rounding * reach <= 0.5 * ARRAY_MARGIN * gap))
+        axes = np.stack([table.u_axis[k], table.v_axis[k]], axis=1)    # (3, 2)
+        uv_b = ((bs[far] - p0) @ axes).T                                 # (2, F)
+        s_f = s_b[far]
+        lo, hi = np.full_like(uv_b, np.inf), np.full_like(uv_b, -np.inf)
+        for s, uv_c in zip(s_c, (corners - p0) @ axes):
+            # where the segment from endpoint b to this corner crosses the plane
+            uv = uv_b + s_f / (s_f - s) * (uv_c[:, None] - uv_b)
+            lo, hi = np.minimum(lo, uv), np.maximum(hi, uv)
+        every, none = table.box_solid(k, lo, hi)
+        hidden[far[every]] = True
+        clear[far[none]] = True
+        seen &= clear
+    return seen, hidden
 
 
 def grid_shape(wall, d_r, margin=0.0):

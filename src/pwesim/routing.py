@@ -126,7 +126,7 @@ def get_routes(graph, spec):
         if k < 0:
             failures.append((i, NO_HIT))
             continue
-        visible = graph.antenna_row(i)
+        visible = graph.visibility[i]
         j = next((j for j in near[i] if free[j] and visible[j]), None)
         if j is None:
             j = nearest_ris(points[i], centers, free & visible)

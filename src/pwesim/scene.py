@@ -11,10 +11,10 @@ The graph's vertices are the possible hops of a path: a vertex is an index
 into `PweGraph.positions`, 0 the transmitter and 1 + j RIS j. An edge exists
 iff the open segment between the two vertex positions crosses no wall
 outside a declared opening. Antennas are never hops, so they are not
-vertices: antenna i's visibility is `PweGraph.antenna_row(i)`, one bool per
-RIS id. The graph answers one query, `PweGraph.row(v)`: v's adjacency row,
-computed lazily (vectorized over all endpoints) and cached, so large scenes
-stay tractable.
+vertices: antenna i's visibility is row i of `PweGraph.visibility`, one
+bool per RIS id, computed for the whole array on first read. The graph
+answers one query, `PweGraph.row(v)`: v's adjacency row, computed lazily
+(vectorized over all endpoints) and cached, so large scenes stay tractable.
 
 The Tx -> lastRIS path rule is `PweGraph.min_hop_paths`, for a list of
 lastRIS ids at once: the direct edge when Tx sees lastRIS, else
@@ -29,16 +29,20 @@ units by RIS id; only this module maps an id to its vertex.
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import AntennaArray, WallTable, segments_clear_batch
+from .geometry import AntennaArray, WallTable, array_visibility, segments_clear_batch
 
 
 # Tx-visible RIS tested per segments_clear_batch call when looking for the
 # middle hops of two-hop paths; a lastRIS's search stops at the first chunk
 # with a clear segment instead of testing every Tx-visible RIS
 PATH_CHUNK = 64
+# antenna x RIS pairs per segments_clear_batch call for the units the
+# whole-array decision leaves open: bounds the (L, N, 3) temporaries
+VISIBILITY_CHUNK = 1 << 12
 # a RIS center may lie this far off its host wall's plane, meters
 PLANE_TOL = 1e-9
 # a unit of a RisCells table lies within GRID_TOL * d_r of its lattice point
@@ -196,26 +200,35 @@ class RisCells:
 
 class PweGraph:
     """Immutable LoS graph over Tx and the RIS units of a scene; adjacency
-    rows, antenna visibility rows and Tx paths cached."""
+    rows, the antenna visibility matrix and Tx paths cached."""
 
     def __init__(self, scene):
         self.scene = scene
         self.n_ris = len(scene.ris_centers)
         self.positions = np.vstack([scene.tx, scene.ris_centers])
         self._rows = {}
-        self._antenna_rows = {}
         self._paths = {}
 
-    def antenna_row(self, index):
-        """Read-only bool row, one entry per RIS id: which RIS units antenna
-        `index` sees (cached)."""
-        cached = self._antenna_rows.get(index)
-        if cached is None:
-            cached = segments_clear_batch(self.scene.rx.antennas[index], self.scene.ris_centers,
-                                          self.scene.wall_table)
-            cached.setflags(write=False)
-            self._antenna_rows[index] = cached
-        return cached
+    @cached_property
+    def visibility(self):
+        """Read-only (M, n_ris) bool matrix: row i holds which RIS units
+        antenna i (row i of `scene.rx.antennas`) sees, one column per RIS
+        id. Computed once, on first read: `array_visibility` decides most
+        units for the whole array, and only the undecided ones get the
+        segment test from every antenna, stacked `VISIBILITY_CHUNK` pairs a
+        call; both give each antenna's own `segments_clear_batch` row."""
+        antennas, centers = self.scene.rx.antennas, self.scene.ris_centers
+        table = self.scene.wall_table
+        seen, hidden = array_visibility(antennas, centers, table)
+        out = np.repeat(seen[None, :], len(antennas), axis=0)
+        undecided = np.flatnonzero(~seen & ~hidden)
+        if len(undecided):
+            step = max(1, VISIBILITY_CHUNK // len(undecided))
+            for lo in range(0, len(antennas), step):
+                out[lo:lo + step, undecided] = segments_clear_batch(
+                    antennas[lo:lo + step, None, :], centers[undecided], table)
+        out.setflags(write=False)
+        return out
 
     def row(self, v):
         """Boolean adjacency row of vertex v (cached); False at v itself, as a

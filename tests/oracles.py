@@ -106,7 +106,7 @@ def select_last_ris(point, candidates, antenna_index, graph):
     """
     available = np.zeros(graph.n_ris, dtype=bool)
     available[list(candidates)] = True
-    available &= graph.antenna_row(antenna_index)
+    available &= graph.visibility[antenna_index]
     return nearest_ris(point, graph.scene.ris_centers, available)
 
 

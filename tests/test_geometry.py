@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pwesim.experiment import SceneParams, build_scene
-from pwesim.geometry import (EXTENT_SLACK, Aperture, WallPlane, WallTable, segments_clear_batch,
-                             tile_wall, trace_walls, unit)
+from pwesim.geometry import (ARRAY_MARGIN, EXTENT_SLACK, Aperture, WallPlane, WallTable,
+                             array_visibility, segments_clear_batch, tile_wall, trace_walls,
+                             unit)
 from pwesim.scene import PATH_CHUNK, build_graph
 
 from conftest import box_walls, rotate_scene
@@ -357,6 +358,37 @@ class TestWallTest:
                        for _ in range(n)])     # (n, W, 2)
         self.assert_like_oracle(walls, openings, uv[..., 0], uv[..., 1])
 
+    # divider boxes (u_lo, u_hi, v_lo, v_hi) with (every point wall, no point
+    # wall), ARRAY_MARGIN to spare: the doorway spans |u| <= 0.6, |v| <= 1.1
+    # and the wall |u| <= 2.5; an edge lies EXTENT_SLACK past each
+    BOXES = [((1.0, 2.0, -1.0, 1.0), (True, False)),
+             ((-0.5, 0.5, -1.0, 1.0), (False, True)),
+             ((3.0, 4.0, 0.0, 0.0), (False, True)),
+             ((0.5, 1.0, 0.0, 0.0), (False, False)),
+             ((0.6 + EXTENT_SLACK + 0.5 * ARRAY_MARGIN, 1.0, 0.0, 0.0), (False, False)),
+             ((0.6 + EXTENT_SLACK + 2.0 * ARRAY_MARGIN, 1.0, 0.0, 0.0), (True, False)),
+             ((2.0, 2.5 + EXTENT_SLACK - 0.5 * ARRAY_MARGIN, 0.0, 0.0), (False, False)),
+             ((2.0, 2.5 + EXTENT_SLACK - 2.0 * ARRAY_MARGIN, 0.0, 0.0), (True, False)),
+             ((2.5 + EXTENT_SLACK + 0.5 * ARRAY_MARGIN, 3.0, 0.0, 0.0), (False, False)),
+             ((2.5 + EXTENT_SLACK + 2.0 * ARRAY_MARGIN, 3.0, 0.0, 0.0), (False, True)),
+             ((0.0, 0.0, 1.1 + EXTENT_SLACK + 2.0 * ARRAY_MARGIN, 1.4), (True, False)),
+             ((0.0, 0.0, 1.1 + EXTENT_SLACK - 2.0 * ARRAY_MARGIN, 1.4), (False, False))]
+
+    def test_box_solid(self):
+        table = self.scene.wall_table
+        boxes = np.array([b for b, _ in self.BOXES])
+        lo, hi = boxes[:, [0, 2]].T, boxes[:, [1, 3]].T
+        every, none = table.box_solid(0, lo, hi)
+        assert list(zip(every.tolist(), none.tolist())) == [want for _, want in self.BOXES]
+        # where decided, the answer holds at each corner of the box
+        for u in (lo[0], hi[0]):
+            for v in (lo[1], hi[1]):
+                solid = table.solid(0, u, v)
+                assert (solid[every]).all() and not solid[none].any()
+        # the side walls have no opening: the doorway's box is wall there
+        every, none = table.box_solid(1, lo[:, 1:2], hi[:, 1:2])
+        assert every.tolist() == [True] and none.tolist() == [False]
+
     def test_trace_and_line_of_sight_agree_at_the_door(self):
         # rays from the antennas to divider points near the door's edges and
         # corners: the trace stops on the divider exactly when the segment to
@@ -380,6 +412,19 @@ class TestWallTest:
             assert ((first == 0) == blocked).all()
             blocked_seen.update(blocked.tolist())
         assert blocked_seen == {False, True}
+
+
+class TestArrayVisibility:
+    """`array_visibility` decides nothing it cannot prove for every origin."""
+
+    def test_endpoint_at_an_origin_is_undecided(self):
+        # no walls: every segment is clear except the zero-length one
+        points = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+        ends = np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.0], [3.0, 0.0, 0.0]])
+        seen, hidden = array_visibility(points, ends, WallTable([]))
+        assert seen.tolist() == [False, False, True] and not hidden.any()
+        rows = segments_clear_batch(points[:, None, :], ends, WallTable([]))
+        assert rows.tolist() == [[False, True, True], [True, True, True]]
 
 
 class TestTileWall:

@@ -3,10 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pwesim import scene as scene_module
 from pwesim.experiment import SceneParams, build_scene
-from pwesim.geometry import Aperture, WallPlane, grid_shape
-from pwesim.scene import Scene, SceneError, bfs_shortest_path, build_graph
+from pwesim.geometry import AntennaArray, Aperture, WallPlane, grid_shape, segments_clear_batch
+from pwesim.scene import PweGraph, Scene, SceneError, bfs_shortest_path, build_graph
 
 from conftest import box_walls, ris_on_wall, rotate_scene, single_antenna_array
 from oracles import SimpleGraph, segment_clear
@@ -49,7 +52,7 @@ class TestBuildGraph:
         g = build_graph(one_room_scene())
         assert len(g.positions) == 2
         assert edges(g) == {(0, 1)}
-        assert g.antenna_row(0).tolist() == [True]
+        assert g.visibility[0].tolist() == [True]
 
     def test_vertex_ordering(self):
         g = build_graph(two_room_scene(with_door=True))
@@ -67,7 +70,7 @@ class TestBuildGraph:
         for u, v in edges(g):
             assert not (u in room1 and v in room2) and not (u in room2 and v in room1)
         # the antenna in room 2 sees the divider unit and the room-2 unit
-        assert g.antenna_row(0).tolist() == [False, False, True, True]
+        assert g.visibility[0].tolist() == [False, False, True, True]
 
     def test_edges_match_bruteforce(self):
         scene = two_room_scene(with_door=True)
@@ -112,31 +115,139 @@ class TestBuildGraph:
 
 
 class TestAntennaRow:
-    """`antenna_row(i)` is the segment test from antenna i to every RIS."""
+    """`visibility[i]` is the segment test from antenna i to every RIS."""
 
     def assert_rows_like_oracle(self, scene):
         g = build_graph(scene)
         for i, ant in enumerate(scene.rx.antennas):
             want = [segment_clear(ant, c, scene.walls, scene.openings)
                     for c in scene.ris_centers]
-            assert g.antenna_row(i).tolist() == want
+            assert g.visibility[i].tolist() == want
         return g
 
     def test_default_two_room_scene(self):
         g = self.assert_rows_like_oracle(build_scene(SceneParams(), 0.45, 4))
-        assert g.antenna_row(0).any() and not g.antenna_row(0).all()
+        assert g.visibility[0].any() and not g.visibility[0].all()
 
     def test_rotated_rooms(self, rng):
         # tilted walls: no dot product is exact in every summation order
         R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         self.assert_rows_like_oracle(rotate_scene(build_scene(SceneParams(), 0.45, 4), R))
 
-    def test_cached_read_only(self):
+    def test_computed_once_read_only(self):
         g = build_graph(two_room_scene(with_door=True))
-        row = g.antenna_row(0)
-        assert g.antenna_row(0) is row and row.shape == (g.n_ris,)
+        vis = g.visibility
+        assert g.visibility is vis and vis.shape == (g.scene.rx.m, g.n_ris)
         with pytest.raises(ValueError):
-            row[0] = False
+            vis[0, 0] = False
+
+
+def planar_array(center, axes, m_side, spacing):
+    """m_side x m_side antennas `spacing` apart, centered on `center`, rows
+    along axes[0] and columns along axes[1]."""
+    steps = (np.arange(m_side) - (m_side - 1) / 2.0) * spacing
+    grid = center + steps[:, None, None] * axes[0] + steps[None, :, None] * axes[1]
+    return AntennaArray(antennas=grid.reshape(-1, 3), boresight=np.cross(axes[0], axes[1]))
+
+
+def antenna_rows(scene):
+    """Each antenna's own segment test to every RIS unit, stacked."""
+    return np.array([segments_clear_batch(a, scene.ris_centers, scene.wall_table)
+                     for a in scene.rx.antennas])
+
+
+def count_segment_tests(monkeypatch):
+    """Spy on the scene module's segment test: a list of (origins, endpoints)
+    per call, filled as calls are made."""
+    calls = []
+    inner = scene_module.segments_clear_batch
+
+    def counting(a, bs, table):
+        calls.append((np.asarray(a), np.asarray(bs)))
+        return inner(a, bs, table)
+
+    monkeypatch.setattr(scene_module, "segments_clear_batch", counting)
+    return calls
+
+
+class TestVisibility:
+    """The whole-array decision gives each antenna's own rows, decides most
+    units without a per-antenna test, and runs only when first read."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(three_rooms=st.booleans(), m_side=st.integers(1, 6),
+           spacing=st.sampled_from([0.01, 0.05, 0.3, 1.0]),
+           where=st.sampled_from(["room", "plane", "doorway"]),
+           offset=st.sampled_from([0.0, 1e-9, -1e-9, 1e-7, -1e-6, 1e-3, -0.05, 0.2]),
+           tilted=st.booleans(), rotated=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_each_antenna(self, three_rooms, m_side, spacing, where, offset,
+                                     tilted, rotated, seed):
+        from test_routing import three_room_scene    # test_routing imports this module
+        rng = np.random.default_rng(seed)
+        scene = three_room_scene(d_r=0.5) if three_rooms else build_scene(SceneParams(), 0.5, 1)
+        lo = np.min([w.p0 for w in scene.walls], axis=0)
+        hi = np.max([w.p0 for w in scene.walls], axis=0)
+        if where == "room":
+            center = rng.uniform(lo, hi)
+        else:
+            # on a wall plane, or on a doorway's, then moved off it by `offset`
+            wall = (next(w for w in scene.walls if w.id == scene.openings[0].wall_id)
+                    if where == "doorway" else scene.walls[rng.integers(len(scene.walls))])
+            u, v = rng.uniform(-1.0, 1.0, 2) * (wall.u_extent, wall.v_extent)
+            center = ris_on_wall(wall, u, v) + offset * wall.n
+        axes = (np.linalg.qr(rng.normal(size=(3, 3)))[0] if tilted else np.eye(3)[[1, 2]])[:2]
+        scene = replace(scene, rx=planar_array(center, axes, m_side, spacing))
+        if rotated:
+            scene = rotate_scene(scene, np.linalg.qr(rng.normal(size=(3, 3)))[0])
+        vis = PweGraph(scene).visibility
+        np.testing.assert_array_equal(vis, antenna_rows(scene))
+        # the scalar oracle rounds differently; off the axes, an antenna 1e-9
+        # off a plane may cross it in one form and not in the other
+        if three_rooms and m_side <= 3 and not rotated and not tilted:
+            want = [[not np.array_equal(a, c)
+                     and segment_clear(a, c, scene.walls, scene.openings)
+                     for c in scene.ris_centers] for a in scene.rx.antennas]
+            assert vis.tolist() == want
+
+    def test_default_cell_decides_almost_every_unit(self, monkeypatch):
+        g = build_graph(build_scene(SceneParams(), 0.15, 10))
+        calls = count_segment_tests(monkeypatch)
+        vis = g.visibility
+        tested = sum(len(bs) * (len(a) if a.ndim == 3 else 1) for a, bs in calls)
+        assert 0 < tested <= 0.05 * vis.size
+        np.testing.assert_array_equal(vis, antenna_rows(g.scene))
+
+    def test_box_at_door_edge_is_undecided(self, monkeypatch):
+        # divider x = 4 with a doorway over y in [1.4, 2.6]. Unit 0 on the
+        # x = 0 wall and antenna 0 share y = 2.6 + 5e-10: that antenna's
+        # segment crosses the divider inside the doorway's EXTENT_SLACK, the
+        # others' cross solid wall past its edge. Unit 1 sits 6e-8 past the
+        # edge, so every crossing is wall, but its projected box lies within
+        # ARRAY_MARGIN of the edge. Both units go to the segment test.
+        scene = two_room_scene(with_door=True)
+        centers = np.array([[0.0, 2.6 + 5e-10, 1.0], [0.0, 2.6 + 6e-8, 1.0]])
+        rx = AntennaArray(antennas=[(7.0, 2.6 + 5e-10 + dy, 1.0) for dy in (0.0, 0.1, 0.2, 0.3)],
+                          boresight=(-1.0, 0, 0))
+        scene = replace(scene, ris_centers=centers, ris_walls=[scene.walls[4].id] * 2, rx=rx)
+        calls = count_segment_tests(monkeypatch)
+        vis = PweGraph(scene).visibility
+        tested = np.concatenate([bs for _, bs in calls])
+        assert all((tested == c).all(axis=1).any() for c in centers)
+        want = [[segment_clear(a, c, scene.walls, scene.openings) for c in centers]
+                for a in scene.rx.antennas]
+        assert want == [[True, False], [False, False], [False, False], [False, False]]
+        assert vis.tolist() == want
+
+    def test_not_computed_by_build_graph(self, monkeypatch):
+        runs = []
+        inner = scene_module.array_visibility
+        monkeypatch.setattr(scene_module, "array_visibility",
+                            lambda *args: runs.append(args) or inner(*args))
+        g = build_graph(build_scene(SceneParams(), 0.5, 4))
+        assert runs == []
+        vis = g.visibility
+        assert len(runs) == 1
+        assert g.visibility is vis and len(runs) == 1     # computed once
 
 
 class TestSceneChecks:
