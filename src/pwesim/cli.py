@@ -260,13 +260,20 @@ def cmd_fit(args):
         return _fail(f"--bins must be between 2 and {MAX_BINS}", EXIT_BAD_CONFIG)
     try:
         with open(args.data, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "phi_deg" not in reader.fieldnames:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            if "phi_deg" not in header:
                 return _fail("data file needs a phi_deg column", EXIT_BAD_CONFIG)
-            if reader.fieldnames.count("phi_deg") > 1:
+            if header.count("phi_deg") > 1:
                 return _fail("data file repeats the phi_deg column", EXIT_BAD_CONFIG)
-            samples = np.array([float(row["phi_deg"]) for row in reader])
-    except (OSError, TypeError, ValueError, csv.Error) as exc:
+            col = header.index("phi_deg")
+            # one field per non-blank row, as csv.DictReader reads it: blank
+            # rows are skipped, fields past the header ignored
+            samples = np.fromiter(map(float, (row[col] for row in reader if row)),
+                                  dtype=float)
+    except IndexError:
+        return _fail(f"line {reader.line_num}: row has no phi_deg field", EXIT_BAD_CONFIG)
+    except (OSError, ValueError, csv.Error) as exc:
         return _fail(exc, EXIT_BAD_CONFIG)
     if not samples.size or not np.all(np.isfinite(samples) & (samples >= 0)):
         return _fail("phi_deg values must be nonempty, finite and non-negative", EXIT_BAD_CONFIG)

@@ -29,6 +29,9 @@ MAX_RIS_UNITS = 1_000_000
 # holds one bool per pair, so this keeps it under ~100 MB and about a minute
 # of work; M = 64 at d_r = 0.15 on the default walls is ~27 M
 MAX_ANTENNA_RIS_PAIRS = 100_000_000
+# every antenna lies this far inside room 2's walls, meters: far above the
+# geometry's ENDPOINT_EPS and ARRAY_MARGIN, so no antenna sits on a wall plane
+RX_WALL_CLEARANCE = 1e-6
 
 
 class CellFitError(Exception):
@@ -108,6 +111,8 @@ def build_scene(params, d_r, m_side):
 
     Wall ids put the room-2 boundary first so the first-hit wall scan from
     any point inside room 2 lands on the unique room-2 boundary crossing.
+    Raises SceneError, before any wall is tiled, past the unit or pair
+    bound or when an antenna does not lie inside room 2 by RX_WALL_CLEARANCE.
     """
     length, width, height = params.room_length, params.room_width, params.room_height
     ex, ey, ez = np.eye(3)
@@ -146,17 +151,6 @@ def build_scene(params, d_r, m_side):
     if m_side * m_side * n_grid > MAX_ANTENNA_RIS_PAIRS:
         raise SceneError(f"{m_side * m_side} antennas x {int(n_grid)} RIS units would "
                          f"make more than {MAX_ANTENNA_RIS_PAIRS} visibility pairs")
-    per_wall = [tile_wall(w, d_r, margin=params.ris_margin, openings=openings)
-                for w in tiled]
-    # a RIS id is its row in ris_centers: wall order, then v outer, u inner
-    ris_centers = np.concatenate(per_wall)
-    ris_walls = np.repeat([w.id for w in tiled], [len(c) for c in per_wall])
-    if not len(ris_centers):
-        raise SceneError(f"no RIS unit of side {d_r} fits any tiled wall")
-
-    tx = params.tx_position
-    if tx is None:
-        tx = (0.3, hw, hh)
 
     # the off-center default spreads antenna-to-wall distances widely, which
     # is what shapes the deviation statistics; a dead-center array sees
@@ -170,7 +164,25 @@ def build_scene(params, d_r, m_side):
     dy = ((steps - (m_side - 1) / 2.0) * params.rx_spacing)[:, None]          # by c
     dz = (((m_side - 1) / 2.0 - steps) * params.rx_spacing)[:, None, None]    # by r
     antennas = (center + dy * ey + dz * ez).reshape(-1, 3)
+    room2_lo = np.array([length, 0.0, 0.0]) + RX_WALL_CLEARANCE
+    room2_hi = np.array([2.0 * length, width, height]) - RX_WALL_CLEARANCE
+    if not (np.all(antennas.min(axis=0) > room2_lo) and np.all(antennas.max(axis=0) < room2_hi)):
+        raise SceneError(f"the {m_side} x {m_side} antenna array at spacing {params.rx_spacing} "
+                         f"around {tuple(rx_center)} does not lie inside room 2 (x {length}.."
+                         f"{2.0 * length}, y 0..{width}, z 0..{height}) by {RX_WALL_CLEARANCE} m")
     rx = AntennaArray(antennas=antennas, boresight=-ex)
+
+    per_wall = [tile_wall(w, d_r, margin=params.ris_margin, openings=openings)
+                for w in tiled]
+    # a RIS id is its row in ris_centers: wall order, then v outer, u inner
+    ris_centers = np.concatenate(per_wall)
+    ris_walls = np.repeat([w.id for w in tiled], [len(c) for c in per_wall])
+    if not len(ris_centers):
+        raise SceneError(f"no RIS unit of side {d_r} fits any tiled wall")
+
+    tx = params.tx_position
+    if tx is None:
+        tx = (0.3, hw, hh)
     return Scene(walls=walls, openings=openings, ris_centers=ris_centers,
                  ris_walls=ris_walls, tx=tx, rx=rx, ris_grid=d_r)
 

@@ -21,8 +21,11 @@
   rules only (first-hit wall scan, nearest unclaimed LoS unit with
   smallest-id tie break, minimum-hop path with ascending neighbor expansion
   and antennas excluded), over adjacency sets from `segment_clear`.
+- `read_phi_dictreader`: the `phi_deg` column of a CSV file read one dict
+  per row with `csv.DictReader`, the form `pwesim fit` reads in one column.
 """
 
+import csv
 import itertools
 from collections import deque
 
@@ -95,6 +98,24 @@ class SimpleGraph:
     def row(self, v):
         """Boolean adjacency row of vertex v."""
         return self._adj[v]
+
+
+def read_phi_dictreader(path):
+    """The `phi_deg` samples of the CSV file at `path`, one `csv.DictReader`
+    dict per row: the BOM-stripped header names the fields, blank rows are
+    skipped and fields past the header ignored.
+
+    Raises ValueError when the header lacks `phi_deg` or repeats it;
+    TypeError, ValueError or csv.Error when a row cannot be read (a short
+    row's missing field is None).
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or "phi_deg" not in reader.fieldnames:
+            raise ValueError("no phi_deg column")
+        if reader.fieldnames.count("phi_deg") > 1:
+            raise ValueError("repeated phi_deg column")
+        return np.array([float(row["phi_deg"]) for row in reader])
 
 
 def select_last_ris(point, candidates, antenna_index, graph):

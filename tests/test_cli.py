@@ -2,8 +2,11 @@ import contextlib
 import csv
 import io
 import json
+import subprocess
+import sys
 import tempfile
 import warnings
+from unittest import mock
 from concurrent.futures import Future
 from pathlib import Path
 from concurrent.futures.process import BrokenProcessPool
@@ -15,11 +18,12 @@ from hypothesis import strategies as st
 
 from pwesim import experiment
 from pwesim.cli import (ConfigError, config_from_raw, main, parse_config_text)
-from pwesim.experiment import ExperimentConfig, build_scene
+from pwesim.experiment import ExperimentConfig, build_scene, fit_models
 from pwesim.geometry import unit
 from pwesim.routing import WavefrontSpec, get_routes
 from pwesim.scene import build_graph
 
+from oracles import read_phi_dictreader
 from test_experiment import InlinePool
 
 SMALL_CONFIG = """\
@@ -353,10 +357,32 @@ class TestSweepCommand:
         assert_one_line_error(capsys, "d_r=0.5, M=2", "4 antennas x 620 RIS units",
                               "more than 1000 visibility pairs")
 
-    def test_sampler_rejection_bound_exit_2(self, tmp_path, capsys):
-        # an array far outside the rooms: every ray misses every wall
-        cfg = write_config(tmp_path, "rx_position = [1e6, 1e6, 1e6]\nd_r_values = [0.5]\n"
-                                     "m_sides = [1]\nn_trials = 1\n")
+    @pytest.mark.parametrize("command", ["sweep", "route"])
+    @pytest.mark.parametrize("text, cell", [
+        ("m_sides = [33]\n", "M=33"),
+        ("m_sides = [1]\nrx_position = [10.0, 0.25, 0.25]\n", "M=1"),
+        ("m_sides = [1]\nrx_position = [1e6, 1e6, 1e6]\n", "M=1"),
+    ], ids=["m33", "on_far_wall", "outside"])
+    def test_array_outside_room_2_exit_2(self, tmp_path, capsys, monkeypatch, command,
+                                         text, cell):
+        def no_tiling(*args, **kwargs):
+            raise AssertionError("tile_wall called for an array outside room 2")
+        monkeypatch.setattr(experiment, "tile_wall", no_tiling)
+        cfg = write_config(tmp_path, "d_r_values = [0.5]\nn_trials = 1\n" + text)
+        spec = write_config(tmp_path, "[]", "spec.json")
+        out = tmp_path / "out"
+        args = {"sweep": [], "route": ["--spec", str(spec)]}
+        assert main([command, "--config", str(cfg), "--out", str(out), *args[command]]) == 2
+        assert_one_line_error(capsys, f"d_r=0.5, {cell}", "does not lie inside room 2")
+        assert not out.exists()
+
+    def test_sampler_rejection_bound_exit_2(self, tmp_path, capsys, monkeypatch):
+        # every ray from inside room 2 meets a wall, so the trace is made to
+        # miss every wall
+        def every_ray_misses(points, dirs, table):
+            return np.full(len(points), -1), np.full((len(points), 3), np.nan)
+        monkeypatch.setattr(experiment, "trace_walls", every_ray_misses)
+        cfg = write_config(tmp_path, "d_r_values = [0.5]\nm_sides = [1]\nn_trials = 1\n")
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert_one_line_error(capsys, "(d_r=0.5, M=1)", "rejected 10^4 directions")
         assert not (tmp_path / "out").exists()
@@ -537,26 +563,6 @@ class TestRouteCommand:
         center = scene.ris_centers[payload["routes"][0]["last_ris_id"]]
         np.testing.assert_allclose(center, (5.0, 2.5, 1.5), atol=1e-12)
 
-    def test_antenna_at_ris_center_exit_0(self, tmp_path, capsys):
-        # the antenna sits on the center of unit 156 of the x = 10 wall; the
-        # ray below it hits the floor where that unit ties with floor unit
-        # 225 for nearest. A zero-length segment is no line of sight, so the
-        # antenna does not see its own unit and claims the floor unit
-        cfg = write_config(tmp_path, "d_r_values = [0.5]\nm_sides = [1]\n"
-                                     "rx_position = [10.0, 0.25, 0.25]\n")
-        from pwesim.cli import load_config
-        scene = build_scene(load_config(str(cfg)).scene, 0.5, 1)
-        np.testing.assert_array_equal(scene.ris_centers[156], scene.rx.antennas[0])
-        spec = self._spec_path(tmp_path, [(0.0, 0.0, -1.0)])
-        out = tmp_path / "routes.json"
-        assert main(["route", "--config", str(cfg), "--spec", str(spec),
-                     "--out", str(out)]) == 0
-        assert capsys.readouterr().err == ""
-        payload = json.loads(out.read_text())
-        assert payload["failures"] == []
-        assert [r["last_ris_id"] for r in payload["routes"]] == [225]
-        np.testing.assert_array_equal(scene.ris_centers[225], (9.75, 0.25, 0.0))
-
     def test_spec_with_bom_routes_as_without(self, tmp_path):
         cfg = write_config(tmp_path)
         spec = self._spec_path(tmp_path, [(-1.0, 0.0, 0.0)] * 4)
@@ -686,7 +692,32 @@ class TestFitCommand:
         path.write_text("trial,phi_deg\n0,1.0\n1\n")
         assert main(["fit", "--data", str(path),
                      "--out", str(tmp_path / "f.json")]) == 1
-        assert_one_line_error(capsys)
+        assert_one_line_error(capsys, "line 3", "phi_deg")
+
+    # files that exercise each csv.DictReader behaviour `fit` keeps
+    PARITY_FILES = {
+        "blank_lines": b"phi_deg\n\n1.5\n\n\n2.5\n3.25\n\n",
+        "crlf": b"trial,phi_deg\r\n0,1.5\r\n1,2.5\r\n\r\n2,4.0\r\n",
+        "quoted": b'note,phi_deg\n"a, b",1.5\n"two\nlines, and ""quotes""","2.5"\n'
+                  b'x,"3.0"\r\n',
+        "extra_fields": b"trial,phi_deg\n0,1.5,extra,more\n1,2.5\n2,3.0,,\n",
+        "short_row_holds_phi": b"phi_deg,trial,note\n1.5,0\n2.5\n3.0,2,x\n",
+        "phi_last": b"a,b,phi_deg\n1,2,1.5\n3,4,2.5\n5,6,3.0\n",
+        "bom": b"\xef\xbb\xbfphi_deg,trial\n1.5,0\n2.5,1\n3.0,2\n",
+        "spellings": b"phi_deg\n 1.5 \n1_0\n+2.5e0\n3E0\n.5\n",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PARITY_FILES))
+    def test_parse_parity_with_dictreader(self, tmp_path, name):
+        path = tmp_path / "data.csv"
+        path.write_bytes(self.PARITY_FILES[name])
+        want = read_phi_dictreader(path)
+        assert len(want) >= 3
+        out = tmp_path / "f.json"
+        code, _, samples = run_fit(path, out)
+        assert code == 0
+        assert samples.dtype == want.dtype and samples.tobytes() == want.tobytes()
+        assert (0, out.read_bytes()) == fit_of_samples(tmp_path, want)
 
     def test_empty_exit_1(self, tmp_path):
         data = self._data_path(tmp_path, [])
@@ -775,6 +806,30 @@ def run_cli(argv):
     return code, err.getvalue()
 
 
+def run_fit(data, out):
+    """(exit code, stderr, samples or None) of one in-process `fit` run on
+    the CSV file `data`; samples is the array `fit` handed to fit_models."""
+    seen = []
+
+    def spy(dataset, bins):
+        seen.append(dataset.samples)
+        return fit_models(dataset, bins)
+
+    with mock.patch("pwesim.cli.fit_models", spy):
+        code, err = run_cli(["fit", "--data", str(data), "--out", str(out)])
+    return code, err, seen[0] if seen else None
+
+
+def fit_of_samples(tmp_path, samples):
+    """(exit code, fit.json bytes or None) of `fit` on a plain one-column
+    file of `samples`; repr round-trips each float."""
+    path = tmp_path / "plain.csv"
+    path.write_text("phi_deg\n" + "".join(repr(float(v)) + "\n" for v in samples))
+    out = tmp_path / "plain.json"
+    code, _ = run_cli(["fit", "--data", str(path), "--out", str(out)])
+    return code, out.read_bytes() if code == 0 else None
+
+
 class TestFuzz:
     """Arbitrary input files end in a documented exit code with at most one
     stderr line; a traceback fails the test."""
@@ -799,6 +854,33 @@ class TestFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             data = Path(tmp) / "data.csv"
             data.write_text(text, encoding="utf-8")
-            code, err = run_cli(["fit", "--data", str(data), "--out", str(Path(tmp) / "f.json")])
-        assert code in (0, 1, 2, 3)
-        assert len(err.splitlines()) <= 1
+            out = Path(tmp) / "f.json"
+            code, err, samples = run_fit(data, out)
+            assert code in (0, 1, 2, 3)
+            assert len(err.splitlines()) <= 1
+            # the samples fitted, the exit code and the bytes are those of
+            # the one-dict-per-row reading: exit 0 exactly when it parses
+            # valid samples that fit
+            try:
+                want = read_phi_dictreader(data)
+            except (TypeError, ValueError, csv.Error):
+                assert code == 1 and samples is None
+                return
+            if want.size and np.all(np.isfinite(want) & (want >= 0)):
+                assert samples.tobytes() == want.tobytes()
+            else:
+                assert samples is None
+            assert (code, out.read_bytes() if code == 0 else None) == \
+                fit_of_samples(Path(tmp), want)
+
+
+def test_cli_import_defers_csv_and_multiprocessing():
+    # every benchmark call starts by importing pwesim.cli; `fit` imports csv,
+    # and a sweep on worker processes multiprocessing, only when they run
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys, pwesim.cli; "
+             "print(sorted({'csv', 'multiprocessing'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(src)}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -30,6 +30,10 @@ def fit_row(cell):
             fit.histogram.counts.tolist(), fit.histogram.densities.tolist())
 
 
+# a 64 x 64 array that fits room 2: 1.89 m square, centered in it
+ARRAY_64_FITS = SceneParams(rx_position=(7.5, 2.5, 1.5), rx_spacing=0.03)
+
+
 class TestSceneParams:
     def test_defaults(self):
         scene = build_scene(SceneParams(), d_r=0.5, m_side=4)
@@ -119,12 +123,44 @@ class TestSceneParams:
             raise AssertionError("tile_wall called past the pair bound")
         monkeypatch.setattr(experiment, "tile_wall", no_tiling)
         with pytest.raises(SceneError, match="more than 100000000 visibility pairs"):
-            build_scene(SceneParams(), d_r=0.02, m_side=64)
+            build_scene(ARRAY_64_FITS, d_r=0.02, m_side=64)
 
     def test_largest_default_cell_within_pair_bound(self):
         # M = 64 at the smallest default d_r: ~27 M pairs, admitted
-        scene = build_scene(SceneParams(), d_r=0.15, m_side=64)
+        scene = build_scene(ARRAY_64_FITS, d_r=0.15, m_side=64)
         assert 2e7 < len(scene.ris_centers) * scene.rx.m <= experiment.MAX_ANTENNA_RIS_PAIRS
+
+    @pytest.mark.parametrize("params, m_side", [
+        (SceneParams(), 33),                                    # reaches the floor and y = 0
+        (SceneParams(), 64),
+        (SceneParams(rx_position=(10.0, 0.25, 0.25)), 1),       # on the far wall
+        (SceneParams(rx_position=(5.0, 2.5, 1.5)), 2),          # on the divider
+        (SceneParams(rx_position=(2.5, 2.5, 1.5)), 2),          # in room 1
+        (SceneParams(rx_position=(1e6, 1e6, 1e6)), 1),          # outside the building
+        (SceneParams(rx_position=(7.5, 2.5, 1.5), rx_spacing=0.05), 64),   # taller than 3 m
+        (SceneParams(rx_position=(9.0, 4.9999995, 1.5)), 1),    # within the clearance
+    ], ids=["m33", "m64", "far_wall", "divider", "room_1", "outside", "too_tall", "clearance"])
+    def test_array_must_lie_inside_room_2(self, monkeypatch, params, m_side):
+        def no_tiling(*args, **kwargs):
+            raise AssertionError("tile_wall called for an array outside room 2")
+        monkeypatch.setattr(experiment, "tile_wall", no_tiling)
+        with pytest.raises(SceneError, match=f"{m_side} x {m_side} antenna array .* "
+                                             "does not lie inside room 2"):
+            build_scene(params, d_r=0.5, m_side=m_side)
+
+    @pytest.mark.parametrize("params, m_side", [
+        (SceneParams(), 32),
+        (SceneParams(rx_position=(9.0, 4.9985, 1.5)), 1),
+    ], ids=["default_m32", "near_wall"])
+    def test_array_inside_room_2_builds(self, params, m_side):
+        antennas = build_scene(params, d_r=0.5, m_side=m_side).rx.antennas
+        assert len(antennas) == m_side * m_side
+        assert np.all(antennas > (5.0, 0.0, 0.0)) and np.all(antennas < (10.0, 5.0, 3.0))
+
+    def test_pair_bound_checked_before_array_fit(self):
+        # both faults: the pair bound, the cheaper refusal, names the cell's size
+        with pytest.raises(SceneError, match="visibility pairs"):
+            build_scene(SceneParams(), d_r=0.02, m_side=64)
 
 
 def assert_same_bits(got, want):
@@ -147,7 +183,9 @@ class TestAgainstScalarLoops:
 
     @pytest.mark.parametrize("m_side", [1, 4, 10, 64])
     def test_antenna_grid(self, m_side):
-        for center, spacing in (((8.5, 0.8, 0.8), 0.05), ((7.0, 2.5, 1.5), 0.03)):
+        # the default placement fits room 2 up to M = 32 at 0.05 m
+        default = ((8.5, 0.8, 0.8), 0.05 if m_side <= 32 else 0.02)
+        for center, spacing in (default, ((7.0, 2.5, 1.5), 0.03)):
             params = SceneParams(rx_position=center, rx_spacing=spacing)
             want = antenna_grid_loop(center, m_side, spacing)
             assert_same_bits(build_scene(params, 0.5, m_side).rx.antennas, want)

@@ -142,6 +142,20 @@ class TestGetRoutes:
         assert not routes.failures
         assert routes.routes[0].phi_deg <= 1e-6
 
+    def test_antenna_at_ris_center_claims_floor_unit(self):
+        # the antenna sits on the center of unit 156 of the x = 10 wall (a
+        # hand-built scene: build_scene keeps every antenna inside room 2);
+        # the ray below it hits the floor where that unit ties with floor
+        # unit 225 for nearest. A zero-length segment is no line of sight, so
+        # the antenna does not see its own unit and claims the floor unit
+        base = build_scene(SceneParams(), 0.5, 1)
+        scene = replace(base, rx=single_antenna_array((10.0, 0.25, 0.25), (-1.0, 0, 0)))
+        np.testing.assert_array_equal(scene.ris_centers[156], scene.rx.antennas[0])
+        routes = get_routes(build_graph(scene), WavefrontSpec(doas=((0.0, 0.0, -1.0),)))
+        assert routes.failures == ()
+        assert [r.last_ris_id for r in routes.routes] == [225]
+        np.testing.assert_array_equal(scene.ris_centers[225], (9.75, 0.25, 0.0))
+
     def test_spec_length_mismatch(self):
         scene = tiled_box_scene(m_side=2)
         graph = build_graph(scene)
