@@ -258,6 +258,7 @@ def cmd_fit(args):
 
     if not 2 <= args.bins <= MAX_BINS:
         return _fail(f"--bins must be between 2 and {MAX_BINS}", EXIT_BAD_CONFIG)
+    reader = None
     try:
         with open(args.data, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -273,8 +274,10 @@ def cmd_fit(args):
                                   dtype=float)
     except IndexError:
         return _fail(f"line {reader.line_num}: row has no phi_deg field", EXIT_BAD_CONFIG)
-    except (OSError, ValueError, csv.Error) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         return _fail(exc, EXIT_BAD_CONFIG)
+    except ValueError as exc:    # open() of a bad path, or float() of a phi_deg field
+        return _fail(exc if reader is None else f"line {reader.line_num}: {exc}", EXIT_BAD_CONFIG)
     if not samples.size or not np.all(np.isfinite(samples) & (samples >= 0)):
         return _fail("phi_deg values must be nonempty, finite and non-negative", EXIT_BAD_CONFIG)
     data = DeviationDataset(samples=samples, d_r=float("nan"), m=0)

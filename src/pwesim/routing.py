@@ -9,8 +9,9 @@ give exactly zero deviation.
 
 The claims run antenna by antenna, because a claimed RIS leaves the pool.
 No claim depends on a path (an unreachable unit stays claimed), so the paths
-come after all claims, in one `PweGraph.min_hop_paths` call; the realized
-DoAs and angles are computed for all antennas of a spec at once.
+come after all claims, in one `PweGraph.min_hop_paths` call (a lookup in
+the graph's relay array); the realized DoAs and angles are computed for all
+antennas of a spec at once.
 
 A claim is the nearest free unit the antenna sees, by the full scan
 `nearest_ris`, unless a cheaper test proves the answer first: one broadcast
@@ -104,9 +105,9 @@ def get_routes(graph, spec):
     scan `nearest_ris` where there is none; both give the same unit,
     smallest id first on ties.
     Then each claimed unit gets a minimum-hop Tx -> ... -> lastRIS path whose
-    hops are RIS units only, all from one `graph.min_hop_paths` call, which
-    memoizes them, so calls that share one graph (the trials of one scene)
-    search each lastRIS's path once.
+    hops are RIS units only, all from one `graph.min_hop_paths` call, whose
+    relay array is filled from the graph's cached rows, so calls that share
+    one graph (the trials of one scene) read each relay row once.
     Per-antenna failures are recorded in antenna order, never fatal. The
     scene is `graph.scene`.
     """

@@ -18,13 +18,12 @@ answers one query, `PweGraph.row(v)`: v's adjacency row, computed lazily
 
 The Tx -> lastRIS path rule is `PweGraph.min_hop_paths`, for a list of
 lastRIS ids at once: the direct edge when Tx sees lastRIS, else
-[Tx, u, lastRIS] with u the smallest RIS vertex visible from both, else
-`bfs_shortest_path` (also the test oracle) from lastRIS. The middle hops of
-all the list's lastRIS are searched together, one (L x PATH_CHUNK) segment
-test per chunk of Tx-visible units. It returns exactly what that BFS
-returns, reversed, as vertex tuples, and is memoized per lastRIS on the
-graph, so one graph per scene shares its paths across trials. Callers name
-units by RIS id; only this module maps an id to its vertex.
+[Tx, u, lastRIS] with u the smallest RIS vertex visible from both, read off
+a relay array filled lazily from the cached rows of Tx's visible units,
+else `bfs_shortest_path` (also the test oracle) from lastRIS. As a segment
+is clear from either end, it returns exactly that BFS's path, reversed, as
+vertex tuples. Callers name units by RIS id; only this module maps an id to
+its vertex.
 """
 
 from collections import deque
@@ -36,10 +35,6 @@ import numpy as np
 from .geometry import AntennaArray, WallTable, array_visibility, segments_clear_batch
 
 
-# Tx-visible RIS tested per segments_clear_batch call when looking for the
-# middle hops of two-hop paths; a lastRIS's search stops at the first chunk
-# with a clear segment instead of testing every Tx-visible RIS
-PATH_CHUNK = 64
 # antenna x RIS pairs per segments_clear_batch call for the units the
 # whole-array decision leaves open: bounds the (L, N, 3) temporaries
 VISIBILITY_CHUNK = 1 << 12
@@ -199,15 +194,14 @@ class RisCells:
 
 
 class PweGraph:
-    """Immutable LoS graph over Tx and the RIS units of a scene; adjacency
-    rows, the antenna visibility matrix and Tx paths cached."""
+    """LoS graph over Tx and the RIS units of a scene; adjacency rows, the
+    antenna visibility matrix and the two-hop relays filled in on first use."""
 
     def __init__(self, scene):
         self.scene = scene
         self.n_ris = len(scene.ris_centers)
         self.positions = np.vstack([scene.tx, scene.ris_centers])
         self._rows = {}
-        self._paths = {}
 
     @cached_property
     def visibility(self):
@@ -241,39 +235,39 @@ class PweGraph:
             self._rows[v] = cached
         return cached
 
+    @cached_property
+    def _hop(self):
+        """Relay array of `min_hop_paths`: hop[v] is 0 if Tx sees vertex v,
+        else the smallest Tx-visible u whose row, once read, sees v; else -1."""
+        return np.where(self.row(0), 0, -1)
+
+    @cached_property
+    def _relays(self):
+        """Tx's visible RIS vertices, ascending, each row read once."""
+        return iter(np.flatnonzero(self.row(0)).tolist())
+
     def min_hop_paths(self, ris_ids):
         """Minimum-hop Tx -> RIS j path per RIS id j of `ris_ids`, in order:
         a vertex tuple, 0 (Tx) first and 1 + j last, or None.
 
         Every vertex past Tx is a RIS unit, so only RIS units serve as hops.
         Ties resolve as in `bfs_shortest_path(self, 1 + j, 0)`: the direct
-        edge if Tx sees RIS j; else the smallest RIS vertex u seen by both,
-        found by testing Tx's visible RIS in ascending chunks against every
-        unit still without one at once; else that BFS itself. Results, None
-        included, are memoized per unit.
+        edge if Tx sees RIS j; else (0, hop[1 + j], 1 + j), the rows of Tx's
+        visible RIS read in ascending order while an asked unit lacks a
+        relay; else, once they run out, that BFS itself.
         """
-        tx = 0
         lasts = [1 + j for j in ris_ids]
-        tx_row = self.row(tx)
-        new = [last for last in lasts if last not in self._paths]
-        self._paths.update((last, (tx, last)) for last in new if tx_row[last])
-        pending = [last for last in new if not tx_row[last]]
-        seen_by_tx = np.flatnonzero(tx_row)
-        for lo in range(0, len(seen_by_tx), PATH_CHUNK):
-            if not pending:
-                break
-            chunk = seen_by_tx[lo:lo + PATH_CHUNK]
-            clear = segments_clear_batch(self.positions[pending][:, None, :], self.positions[chunk],
-                                         self.scene.wall_table)
-            cleared = clear.any(axis=1).tolist()
-            hops = chunk[clear.argmax(axis=1)].tolist()
-            self._paths.update((last, (tx, hop, last))
-                               for last, hop, ok in zip(pending, hops, cleared) if ok)
-            pending = [last for last, ok in zip(pending, cleared) if not ok]
-        for last in pending:
-            found = bfs_shortest_path(self, last, tx)
-            self._paths[last] = None if found is None else tuple(reversed(found))
-        return [self._paths[last] for last in lasts]
+        hop = self._hop
+        while (hop[lasts] < 0).any() and (u := next(self._relays, None)) is not None:
+            hop[(hop < 0) & self.row(u)] = u
+        paths = []
+        for last, u in zip(lasts, hop[lasts].tolist()):
+            if u < 0:
+                found = bfs_shortest_path(self, last, 0)
+                paths.append(None if found is None else tuple(reversed(found)))
+            else:
+                paths.append((0, last) if u == 0 else (0, u, last))
+        return paths
 
 
 def build_graph(scene):

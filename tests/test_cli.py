@@ -694,6 +694,28 @@ class TestFitCommand:
                      "--out", str(tmp_path / "f.json")]) == 1
         assert_one_line_error(capsys, "line 3", "phi_deg")
 
+    def test_bad_value_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_text("phi_deg\n1.5\nabc\n2.0\n")
+        assert main(["fit", "--data", str(path),
+                     "--out", str(tmp_path / "f.json")]) == 1
+        assert_one_line_error(capsys, "line 3: ", "'abc'")
+
+    def test_path_open_rejects_exit_1(self, tmp_path, capsys):
+        # open() raises ValueError before any line is read
+        assert main(["fit", "--data", str(tmp_path / "a\0b"),
+                     "--out", str(tmp_path / "f.json")]) == 1
+        err = assert_one_line_error(capsys, "embedded null byte")
+        assert "line " not in err
+
+    def test_undecodable_bytes_keep_their_message(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"phi_deg\n1.5\n\xff\n")
+        assert main(["fit", "--data", str(path),
+                     "--out", str(tmp_path / "f.json")]) == 1
+        err = assert_one_line_error(capsys, "can't decode byte 0xff")
+        assert "line " not in err
+
     # files that exercise each csv.DictReader behaviour `fit` keeps
     PARITY_FILES = {
         "blank_lines": b"phi_deg\n\n1.5\n\n\n2.5\n3.25\n\n",

@@ -7,7 +7,7 @@ from pwesim.experiment import SceneParams, build_scene
 from pwesim.geometry import (ARRAY_MARGIN, EXTENT_SLACK, Aperture, WallPlane, WallTable,
                              array_visibility, segments_clear_batch, tile_wall, trace_walls,
                              unit)
-from pwesim.scene import PATH_CHUNK, build_graph
+from pwesim.scene import build_graph
 
 from conftest import box_walls, rotate_scene
 from oracles import (_in_opening, _on_wall, _ref_hit_point, first_hits, local_uv,
@@ -270,10 +270,10 @@ class TestSegmentClear:
 
     @pytest.mark.parametrize("which", ["default", "rotated", "three_rooms"])
     def test_origin_stack_matches_rows_and_oracle(self, which):
-        # the path step's (L, C) call: origins are the RIS units Tx does not
-        # see, Tx, the antennas and a point behind the x = 0 wall; endpoints
-        # are the first chunk of Tx-visible units and the corners and edge
-        # midpoints of each doorway
+        # a stacked (L, C) call: origins are the RIS units Tx does not see,
+        # Tx, the antennas and a point behind the x = 0 wall; endpoints are
+        # the first 64 Tx-visible units and the corners and edge midpoints
+        # of each doorway
         if which == "three_rooms":
             scene = three_room_scene()
         else:
@@ -291,7 +291,7 @@ class TestSegmentClear:
                       for du in (op.u_center - op.u_half, op.u_center, op.u_center + op.u_half)
                       for dv in (op.v_center - op.v_half, op.v_center, op.v_center + op.v_half)
                       if (du, dv) != (op.u_center, op.v_center)]
-        ends = np.vstack([scene.ris_centers[np.flatnonzero(tx_row)[:PATH_CHUNK]], door_edges])
+        ends = np.vstack([scene.ris_centers[np.flatnonzero(tx_row)[:64]], door_edges])
         origins = np.vstack([scene.ris_centers[~tx_row][::3], scene.tx, scene.rx.antennas,
                              outside])
         got = segments_clear_batch(origins[:, None, :], ends, scene.wall_table)

@@ -9,7 +9,7 @@ from pwesim.experiment import (ExperimentConfig, SceneParams, build_scene, run_c
 from pwesim.geometry import AntennaArray, Aperture, WallPlane, segments_clear_batch, unit
 from pwesim.routing import (NO_CANDIDATE, NO_HIT, UNREACHABLE, WavefrontSpec, deviation_angle,
                             get_routes)
-from pwesim.scene import PATH_CHUNK, PweGraph, Scene, bfs_shortest_path, build_graph
+from pwesim.scene import PweGraph, Scene, bfs_shortest_path, build_graph
 
 from conftest import box_walls, ris_on_wall, rotate_scene, single_antenna_array, tiled_ris
 from oracles import reference_get_routes, scalar_deviation, select_last_ris
@@ -367,33 +367,44 @@ class TestPathStep:
         assert {None if path is None else len(path) for path in got} == {2, 3, 4, None}
         assert graph.min_hop_paths(ids[::-1]) == got
 
-    def test_one_path_search_per_trial(self, monkeypatch):
-        # a path search tests at most PATH_CHUNK endpoints; a visibility row
-        # tests every unit
-        sizes = []
+    def test_no_segment_test_after_first_trial(self, monkeypatch):
+        # the first trial reads the visibility matrix and the relay rows;
+        # later trials find every path in the graph's relay array
+        calls = []
 
-        def counting(a, bs, *args):
-            sizes.append(len(bs))
-            return segments_clear_batch(a, bs, *args)
+        def counting(*args):
+            calls.append(args)
+            return segments_clear_batch(*args)
 
         monkeypatch.setattr("pwesim.scene.segments_clear_batch", counting)
         scene = build_scene(SceneParams(), 0.15, 8)
         graph = build_graph(scene)
-        first_chunk = set(np.flatnonzero(graph.row(0))[:PATH_CHUNK].tolist())
-        assert graph.n_ris > PATH_CHUNK
-        seen, searched = set(), 0
-        for ss in np.random.SeedSequence(0).spawn(3):
+        lengths = set()
+        for k, ss in enumerate(np.random.SeedSequence(0).spawn(4)):
             spec = sample_wavefront(scene, np.random.default_rng(ss))
-            del sizes[:]
+            del calls[:]
             routes = get_routes(graph, spec)
-            new = {r.path for r in routes.routes if r.path[-1] not in seen}
-            seen.update(path[-1] for path in new)
-            searched += sum(len(path) > 2 for path in new)
-            misses = sum(len(path) > 3 or path[1] not in first_chunk for path in new
-                         if len(path) > 2)
-            misses += sum(why == UNREACHABLE for _, why in routes.failures)
-            assert sum(n <= PATH_CHUNK for n in sizes) <= 1 + misses
-        assert searched > 3 * 3      # one call per memo miss would exceed the bound
+            assert bool(calls) == (k == 0)
+            lengths.update(len(r.path) for r in routes.routes)
+        assert lengths == {2, 3}
+
+    @pytest.mark.parametrize("which", ["default", "rotated", "three_rooms"])
+    def test_adjacency_is_symmetric(self, which):
+        # the relay array reads the segment from a relay to a unit, the BFS
+        # the segment from the unit to the relay
+        if which == "three_rooms":
+            scene = three_room_scene()
+        else:
+            scene = build_scene(SceneParams(), 0.3, 4)
+        if which == "rotated":
+            R, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))
+            scene = rotate_scene(scene, R)
+        P = build_graph(scene).positions
+        # stacked 256 origins a call, to bound the (L, N, 3) temporaries
+        adj = np.vstack([segments_clear_batch(P[lo:lo + 256, None], P, scene.wall_table)
+                         for lo in range(0, len(P), 256)])
+        assert adj.any()
+        np.testing.assert_array_equal(adj, adj.T)
 
 
 class TestRotationInvariance:

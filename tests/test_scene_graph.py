@@ -408,9 +408,15 @@ class TestBfs:
 
 
 class TestMinHopPath:
-    @pytest.mark.parametrize("d_r, m_side", [(0.5, 4), (0.2, 8)])
-    def test_matches_bfs_oracle_on_default_scene(self, d_r, m_side):
-        g = build_graph(build_scene(SceneParams(), d_r, m_side))
+    @pytest.mark.parametrize("which, d_r, m_side",
+                             [("default", 0.5, 4), ("default", 0.2, 8), ("rotated", 0.3, 4)],
+                             ids=["0.5-4", "0.2-8", "rotated-0.3-4"])
+    def test_matches_bfs_oracle_on_default_scene(self, which, d_r, m_side):
+        scene = build_scene(SceneParams(), d_r, m_side)
+        if which == "rotated":
+            R, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))
+            scene = rotate_scene(scene, R)
+        g = build_graph(scene)
         ids = list(range(g.n_ris))
         for j, path in zip(ids, g.min_hop_paths(ids)):
             oracle = bfs_shortest_path(g, 1 + j, 0)
