@@ -243,7 +243,7 @@ def cmd_route(args):
             for r in routes.routes
         ],
         "failures": [{"antenna_index": i, "reason": why}
-                     for i, why in routes.failures],
+                     for _t, i, why in routes.failures],
     }
     try:
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n",

@@ -19,6 +19,8 @@ from .statfit import (DegenerateDataError, DeviationDataset, Fit, fit_gamma_mle,
                       fit_rayleigh_mle, gamma_pdf, kld_empirical, make_histogram, rayleigh_pdf)
 
 MAX_REJECTIONS = 10_000
+# antenna-trials per run_cell batch: bounds the (batch, walls) temporaries
+TRIAL_BATCH = 1 << 10
 # config bounds: past them a sweep exhausts memory instead of failing up front
 MAX_TRIALS = 1_000_000
 MAX_M_SIDE = 64
@@ -187,80 +189,95 @@ def build_scene(params, d_r, m_side):
                  ris_walls=ris_walls, tx=tx, rx=rx, ris_grid=d_r)
 
 
-def sample_wavefront(scene, rng):
-    """Draw one desired unit DoA per antenna, uniform over the boresight
-    hemisphere, rejecting directions whose traced ray misses every wall.
+def sample_wavefront(scene, rngs):
+    """Draw T wavefronts, wavefront t from generator `rngs[t]`: one desired
+    unit DoA per antenna, uniform over the boresight hemisphere, rejecting
+    directions whose traced ray misses every wall.
 
-    The rule reads one stream of normal 3-vectors from `rng`: each antenna
-    in turn takes the next vector, normalizes it and flips it onto the
-    boresight hemisphere, and takes another while the vector is zero, lies
-    on the boresight plane or its ray misses every wall. The waiting
+    The rule reads one stream of normal 3-vectors per wavefront: each
+    antenna in turn takes the next vector, normalizes it and flips it onto
+    the boresight hemisphere, and takes another while the vector is zero,
+    lies on the boresight plane or its ray misses every wall. The waiting
     antennas go in passes, each tracing the next candidates of several
-    antennas in one `trace_walls` call and keeping the leading run of
-    accepted ones; the first rejected candidate is dropped, and those after
-    it move up one antenna, topped up by one fresh draw. M draws of 3 take
-    the same stream as one draw of (M, 3), so every candidate is the vector
-    the per-antenna rule reads. The accepted directions' traces come with
-    the spec as `WavefrontSpec.trace`, so `get_routes` traces nothing.
+    antennas of every unfinished wavefront in one `trace_walls` call. Each
+    wavefront keeps its leading run of accepted ones; its first rejected
+    candidate is dropped, and those after it move up one antenna, topped up
+    by one fresh draw from its own generator. M draws of 3 take the same
+    stream as one draw of (M, 3), so every candidate is the vector the
+    per-antenna rule reads. The accepted directions' traces come with the
+    spec as `WavefrontSpec.trace`, so `get_routes` traces nothing.
     """
-    antennas = scene.rx.antennas
+    antennas, boresight = scene.rx.antennas, scene.rx.boresight
     m = len(antennas)
-    doas, points = np.empty((m, 3)), np.empty((m, 3))
-    first = np.empty(m, dtype=int)
-    draws = rng.standard_normal((m, 3))     # row j: the candidate of antenna i + j
-    i = misses = 0          # antennas accepted; wall misses of antenna i
-    w = m                   # candidates traced in this pass
-    while True:
-        n = norm(draws[:w])
+    # draws[t, a]: wavefront t's candidate for antenna a >= done[t]
+    draws = np.array([rng.standard_normal((m, 3)) for rng in rngs]).reshape(len(rngs), m, 3)
+    doas, points = np.empty(draws.shape), np.empty(draws.shape)
+    first = np.empty(draws.shape[:2], dtype=int)
+    done = np.zeros(len(rngs), dtype=int)       # antennas accepted
+    misses = np.zeros(len(rngs), dtype=int)     # wall misses of antenna done[t]
+    width = np.full(len(rngs), m)               # candidates to trace in the next pass
+    live = np.arange(len(rngs))
+    while len(live):
+        w = np.minimum(width[live], m - done[live])
+        starts = np.cumsum(w) - w
+        off = np.arange(w.sum()) - np.repeat(starts, w)     # offset in its wavefront's run
+        tt, aa = np.repeat(live, w), np.repeat(done[live], w) + off
+        c = draws[tt, aa]
+        n = norm(c)
         with np.errstate(invalid="ignore"):     # a zero draw becomes NaN, rejected below
-            v = draws[:w] / n[:, None]
-        d = np.vecdot(v, scene.rx.boresight)
+            v = c / n[:, None]
+        d = np.vecdot(v, boresight)
         v = np.where((d < 0.0)[:, None], -v, v)
-        k, p = trace_walls(antennas[i:i + w], v, scene.wall_table)
+        k, p = trace_walls(antennas[aa], v, scene.wall_table)
         ok = (n != 0.0) & (d != 0.0) & (k >= 0)
-        run = len(ok) if ok.all() else int(ok.argmin())
-        doas[i:i + run], first[i:i + run], points[i:i + run] = v[:run], k[:run], p[:run]
-        i += run
-        if i == m:
-            break
-        if run:
-            misses = 0
-        draws = draws[run:]
-        if run < len(ok):       # draws[0] was rejected
-            if n[run] != 0.0 and d[run] != 0.0:     # its ray missed every wall
-                misses += 1
-                if misses >= MAX_REJECTIONS:
-                    raise SceneError("wavefront sampling rejected 10^4 directions; "
-                                     "scene geometry looks malformed")
-            draws = np.concatenate((draws[1:], rng.standard_normal((1, 3))))
+        # per wavefront: the offset of its first rejection, or its width
+        run = np.minimum.reduceat(np.where(ok, np.repeat(w, w), off), starts)
+        keep = off < np.repeat(run, w)
+        doas[tt[keep], aa[keep]], first[tt[keep], aa[keep]] = v[keep], k[keep]
+        points[tt[keep], aa[keep]] = p[keep]
+        done[live] += run
+        misses[live[run > 0]] = 0
+        for t, e in zip(live[run < w].tolist(), (starts + run)[run < w].tolist()):
+            if n[e] != 0.0 and d[e] != 0.0:     # its ray missed every wall
+                misses[t] += 1
+                if misses[t] >= MAX_REJECTIONS:
+                    raise SceneError(f"wavefront sampling rejected {MAX_REJECTIONS} directions "
+                                     "in a row for one antenna; scene geometry looks malformed")
+            draws[t, done[t]:-1] = draws[t, done[t] + 1:]
+            draws[t, -1] = rngs[t].standard_normal((1, 3))
         # candidates traced past a rejection are traced again for their new
         # antenna; tracing at most twice the last run keeps that work linear
-        w = 2 * run + 1
+        width[live] = 2 * run + 1
+        live = live[done[live] < m]
     return WavefrontSpec(doas=doas, trace=(first, points))
 
 
 def run_cell(config, d_r, m_side):
     """Run all trials of one (d_r, M) cell and fit both deviation models.
 
+    Trial t draws from the cell's t-th stream. The trials are sampled and
+    routed in batches of about TRIAL_BATCH antenna-trials, whose size
+    changes no result.
     A SceneError or CellFitError it raises names the cell.
     """
     d_idx = config.d_r_values.index(d_r)
     m_idx = config.m_sides.index(m_side)
     streams = np.random.SeedSequence([config.seed, m_idx, d_idx]).spawn(config.n_trials)
+    batch = max(1, TRIAL_BATCH // (m_side * m_side))
     phis = []
     records = []
     n_failures = 0
     try:
         scene = build_scene(config.scene, d_r, m_side)
         graph = build_graph(scene)
-        for trial, ss in enumerate(streams):
-            rng = np.random.Generator(np.random.PCG64(ss))
-            spec = sample_wavefront(scene, rng)
+        for lo in range(0, len(streams), batch):
+            rngs = [np.random.Generator(np.random.PCG64(ss)) for ss in streams[lo:lo + batch]]
+            spec = sample_wavefront(scene, rngs)
             routes = get_routes(graph, spec)
             n_failures += len(routes.failures)
             for route in routes.routes:
                 phis.append(route.phi_deg)
-                records.append((trial, route.antenna_index, route.phi_deg,
+                records.append((lo + route.trial, route.antenna_index, route.phi_deg,
                                 route.last_ris_id, len(route.path)))
     except SceneError as exc:
         raise SceneError(f"cell (d_r={d_r}, M={m_side}): {exc}") from exc

@@ -7,18 +7,19 @@ realized DoA is the unit vector from the antenna to the chosen RIS center,
 which puts both vectors in the same convention and makes the collinear case
 give exactly zero deviation.
 
-The claims run antenna by antenna, because a claimed RIS leaves the pool.
+A spec holds T wavefronts, and each is copied from a fresh pool of units.
+Its claims run antenna by antenna, because a claimed RIS leaves the pool.
 No claim depends on a path (an unreachable unit stays claimed), so the paths
-come after all claims, in one `PweGraph.min_hop_paths` call (a lookup in
-the graph's relay array); the realized DoAs and angles are computed for all
-antennas of a spec at once.
+come after the claims of all T wavefronts, in one `PweGraph.min_hop_paths`
+call (a lookup in the graph's relay array); the realized DoAs and angles are
+computed for all routed antenna-trials at once.
 
 A claim is the nearest free unit the antenna sees, by the full scan
 `nearest_ris`, unless a cheaper test proves the answer first: one broadcast
 per spec (`RisCells.candidates`) ranks the units of the 3 x 3 grid cells
-around each hit point, as far as bounds on every other unit prove that
-ranking, and an antenna takes the first free visible unit of its ranking.
-Only an antenna whose ranking runs out scans every unit.
+around each of the T x M hit points, as far as bounds on every other unit
+prove that ranking, and an antenna takes the first free visible unit of its
+ranking. Only an antenna whose ranking runs out scans every unit.
 """
 
 from dataclasses import dataclass
@@ -34,18 +35,18 @@ UNREACHABLE = "unreachable"    # no path from Tx to the chosen RIS
 
 @dataclass(frozen=True)
 class WavefrontSpec:
-    """One desired unit DoA per receiver antenna, in antenna order; `doas`
-    is a read-only (M, 3) array, row i for antenna i. `trace`, if given, is
-    the routing scene's `trace_walls(antennas, doas, wall_table)`, kept as
-    read-only copies: (M,) first-wall columns, -1 on a miss, and (M, 3)
-    wall points."""
+    """T wavefronts of one desired unit DoA per receiver antenna: `doas` is
+    a read-only (T, M, 3) array, [t, i] for antenna i of wavefront t; an
+    (M, 3) input is one wavefront. `trace`, if given, is the routing scene's
+    `trace_walls` of the antennas along `doas`, kept as read-only copies:
+    (T, M) first-wall columns, -1 on a miss, and (T, M, 3) wall points."""
 
     doas: np.ndarray
     trace: tuple = None
 
     def __post_init__(self):
-        doas = np.array(self.doas, dtype=float)
-        if doas.ndim != 2 or doas.shape[1] != 3:
+        doas = np.array(self.doas, dtype=float, ndmin=3)
+        if doas.ndim != 3 or doas.shape[2] != 3:
             raise ValueError("desired DoAs must be 3-vectors")
         if not np.all(is_unit(doas, tol=1e-6)):
             raise ValueError("desired DoAs must be unit vectors")
@@ -53,8 +54,9 @@ class WavefrontSpec:
         object.__setattr__(self, "doas", doas)
         if self.trace is not None:
             first, points = self.trace
-            first, points = np.array(first, dtype=int), np.array(points, dtype=float)
-            if first.shape != (len(doas),) or points.shape != doas.shape:
+            first = np.array(first, dtype=int, ndmin=2)
+            points = np.array(points, dtype=float, ndmin=3)
+            if first.shape != doas.shape[:2] or points.shape != doas.shape:
                 raise ValueError("trace shapes must match the DoAs")
             first.setflags(write=False)
             points.setflags(write=False)
@@ -63,6 +65,7 @@ class WavefrontSpec:
 
 @dataclass(frozen=True)
 class Route:
+    trial: int            # wavefront index within the spec
     antenna_index: int
     last_ris_id: int
     path: tuple           # vertex indices, Tx first, lastRIS last
@@ -72,8 +75,8 @@ class Route:
 
 @dataclass(frozen=True)
 class RouteSet:
-    routes: tuple
-    failures: tuple       # (antenna_index, reason) pairs
+    routes: tuple         # in (trial, antenna_index) order
+    failures: tuple       # sorted (trial, antenna_index, reason) triples
 
 
 def deviation_angle(desired, realized):
@@ -95,59 +98,64 @@ def nearest_ris(point, centers, available):
 
 
 def get_routes(graph, spec):
-    """Run the wavefront routing algorithm: claims first, then one path step.
+    """Run the wavefront routing algorithm on the T wavefronts of `spec`:
+    claims first, then one path step.
 
-    In index order, each antenna traces its desired ray to a wall point and
-    claims the nearest LoS RIS (removed from the pool, even when no path
-    reaches it). The wall points are `spec.trace`, or one `trace_walls`
-    pass over all rays when the spec carries none. The claim is the first
-    free visible unit among the point's `RisCells.candidates`, and the full
-    scan `nearest_ris` where there is none; both give the same unit,
-    smallest id first on ties.
+    Each wavefront starts from a full pool. In index order, each of its
+    antennas traces its desired ray to a wall point and claims the nearest
+    LoS RIS (removed from that wavefront's pool, even when no path reaches
+    it). The wall points are `spec.trace`, or one `trace_walls` pass over
+    all T x M rays when the spec carries none. The claim is the first free
+    visible unit among the point's `RisCells.candidates`, ranked for all
+    T x M points in one call, and the full scan `nearest_ris` where there
+    is none; both give the same unit, smallest id first on ties.
     Then each claimed unit gets a minimum-hop Tx -> ... -> lastRIS path whose
     hops are RIS units only, all from one `graph.min_hop_paths` call, whose
     relay array is filled from the graph's cached rows, so calls that share
     one graph (the trials of one scene) read each relay row once.
-    Per-antenna failures are recorded in antenna order, never fatal. The
-    scene is `graph.scene`.
+    Per-antenna failures are recorded as sorted (trial, antenna, reason)
+    triples, never fatal. The scene is `graph.scene`.
     """
     scene = graph.scene
     antennas = scene.rx.antennas
-    if len(spec.doas) != len(antennas):
+    n_t, m = spec.doas.shape[:2]
+    if m != len(antennas):
         raise ValueError("spec length must match antenna count")
-    first, points = (trace_walls(antennas, spec.doas, scene.wall_table) if spec.trace is None
-                     else spec.trace)
+    doas = spec.doas.reshape(-1, 3)     # row t * m + i: antenna i of wavefront t
+    first, points = spec.trace or trace_walls(np.tile(antennas, (n_t, 1)), doas, scene.wall_table)
+    first, points = first.ravel(), points.reshape(-1, 3)
     centers = scene.ris_centers
     cells = scene.ris_cells
     near = [()] * len(first) if cells is None else cells.candidates(points, first)
-    free = np.ones(graph.n_ris, dtype=bool)
-    claims = []    # (antenna, claimed RIS row)
+    claims = []    # (antenna-trial row, claimed RIS row)
     failures = []
-    for i, k in enumerate(first.tolist()):
+    for e, k in enumerate(first.tolist()):
+        if e % m == 0:      # each wavefront claims from a full pool
+            free = np.ones(graph.n_ris, dtype=bool)
         if k < 0:
-            failures.append((i, NO_HIT))
+            failures.append((e, NO_HIT))
             continue
-        visible = graph.visibility[i]
-        j = next((j for j in near[i] if free[j] and visible[j]), None)
+        visible = graph.visibility[e % m]
+        j = next((j for j in near[e] if free[j] and visible[j]), None)
         if j is None:
-            j = nearest_ris(points[i], centers, free & visible)
+            j = nearest_ris(points[e], centers, free & visible)
         if j is None:
-            failures.append((i, NO_CANDIDATE))
+            failures.append((e, NO_CANDIDATE))
             continue
         free[j] = False
-        claims.append((i, j))
-    routed, rows, paths = [], [], []    # antenna, claimed RIS row, Tx path
-    for (i, j), path in zip(claims, graph.min_hop_paths([j for _, j in claims])):
+        claims.append((e, j))
+    routed, rows, paths = [], [], []    # antenna-trial row, claimed RIS row, Tx path
+    for (e, j), path in zip(claims, graph.min_hop_paths([j for _, j in claims])):
         if path is None:
-            failures.append((i, UNREACHABLE))
+            failures.append((e, UNREACHABLE))
             continue
-        routed.append(i)
+        routed.append(e)
         rows.append(j)
         paths.append(path)
-    failures.sort()
-    realized = unit(centers[rows] - antennas[routed])
-    phis = deviation_angle(spec.doas[routed], realized).tolist()
-    routes = tuple(Route(antenna_index=i, last_ris_id=j, path=path,
+    realized = unit(centers[rows] - antennas[np.array(routed, dtype=int) % m])
+    phis = deviation_angle(doas[routed], realized).tolist()
+    routes = tuple(Route(trial=e // m, antenna_index=e % m, last_ris_id=j, path=path,
                          realized_doa=r, phi_deg=phi)
-                   for i, j, path, r, phi in zip(routed, rows, paths, realized, phis))
-    return RouteSet(routes=routes, failures=tuple(failures))
+                   for e, j, path, r, phi in zip(routed, rows, paths, realized, phis))
+    failures = tuple((*divmod(e, m), why) for e, why in sorted(failures))
+    return RouteSet(routes=routes, failures=failures)

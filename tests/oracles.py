@@ -12,13 +12,14 @@
   first-hit wall scan, one wall at a time, behind `trace_walls`;
   `first_hits` lists a `trace_walls` result in the scan's form.
 - `sample_wavefront_loop`: the rejection rule that `sample_wavefront` runs
-  in passes over the waiting antennas, here one antenna and one scalar
-  trace at a time; both read the same stream of normal 3-vectors, so the
-  DoAs, the hits and the final rng state must match.
+  in passes over the waiting antennas of T wavefronts, here one wavefront,
+  one antenna and one scalar trace at a time; both read the same stream of
+  normal 3-vectors per wavefront, so the DoAs, the hits and the final rng
+  states must match.
 - `scalar_deviation`: one route's realized DoA and deviation angle with
   scalar norm and dot, the per-antenna form of `get_routes`' angle step.
-- `reference_get_routes`: the routing algorithm written against its textual
-  rules only (first-hit wall scan, nearest unclaimed LoS unit with
+- `reference_get_routes`: the routing algorithm for a one-wavefront spec,
+  written against its textual rules only (first-hit wall scan, nearest unclaimed LoS unit with
   smallest-id tie break, minimum-hop path with ascending neighbor expansion
   and antennas excluded), over adjacency sets from `segment_clear`.
 - `read_phi_dictreader`: the `phi_deg` column of a CSV file read one dict
@@ -280,14 +281,16 @@ def _ref_routes(scene):
 
 
 def reference_get_routes(scene, spec):
-    """(last_ris_id | reason, path, phi) per antenna, straight from the rules."""
+    """(last_ris_id | reason, path, phi) per antenna of the one wavefront of
+    `spec`, straight from the rules."""
+    (doas,) = spec.doas
     n_ris, pos, adj, banned = _ref_routes(scene)
     centers = scene.ris_centers
     used = set()
     out = []
     for i, ant in enumerate(scene.rx.antennas):
         ant = np.asarray(ant, float)
-        hit = _ref_hit_point(ant, spec.doas[i], scene.walls, scene.openings)
+        hit = _ref_hit_point(ant, doas[i], scene.walls, scene.openings)
         if hit is None:
             out.append((NO_HIT, None, None))
             continue
@@ -302,6 +305,6 @@ def reference_get_routes(scene, spec):
         path = _ref_bfs(adj, 1 + best, 0, banned)
         if path is not None:
             path = path[::-1]
-        phi = deviation_angle(spec.doas[i], unit(centers[best] - ant))
+        phi = deviation_angle(doas[i], unit(centers[best] - ant))
         out.append((best, None if path is None else tuple(path), phi))
     return out

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -292,7 +293,6 @@ class TestSweepCommand:
             assert (out / name).exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 11
-        import hashlib
         for name, digest in manifest["files"].items():
             assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
 
@@ -384,7 +384,8 @@ class TestSweepCommand:
         monkeypatch.setattr(experiment, "trace_walls", every_ray_misses)
         cfg = write_config(tmp_path, "d_r_values = [0.5]\nm_sides = [1]\nn_trials = 1\n")
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert_one_line_error(capsys, "(d_r=0.5, M=1)", "rejected 10^4 directions")
+        assert_one_line_error(capsys, "(d_r=0.5, M=1)",
+                              "rejected 10000 directions in a row for one antenna")
         assert not (tmp_path / "out").exists()
 
     def test_repeated_sweep_value_exit_1(self, tmp_path, capsys):
@@ -546,6 +547,19 @@ class TestRouteCommand:
             assert got["last_ris_id"] == want.last_ris_id
             assert got["path"] == list(want.path)
             assert got["phi_deg"] == pytest.approx(want.phi_deg)
+
+    def test_output_bytes_pinned(self, tmp_path):
+        # a fixed spec and config write the same JSON, byte for byte
+        cfg = write_config(tmp_path, "d_r_values = [0.45]\nm_sides = [3]\n")
+        rng = np.random.default_rng(17)
+        doas = [unit(rng.normal(size=3)) for _ in range(9)]
+        spec = self._spec_path(tmp_path, [-v if v[0] > 0 else v for v in doas])
+        out = tmp_path / "routes.json"
+        assert main(["route", "--config", str(cfg), "--spec", str(spec),
+                     "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["routes"]) == 9
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "66c8ba4a23e8e67088432434c8dadecd956cdba2b2c6046d8ba52382f845bb75"
 
     def test_zero_size_door_claims_divider_center(self, tmp_path):
         # aimed at the center of a zero-size door, the ray stops on the

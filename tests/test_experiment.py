@@ -245,10 +245,10 @@ class StubNormal:
         return out.reshape(size).copy()
 
 
-def assert_trace_is(scene, spec, hits):
-    """`spec.trace` names the walls and points of `hits`, (point, wall id)
-    pairs."""
-    first, points = spec.trace
+def assert_trace_is(scene, spec, hits, t=0):
+    """`spec.trace` of wavefront t names the walls and points of `hits`,
+    (point, wall id) pairs."""
+    first, points = (a[t] for a in spec.trace)
     assert scene.wall_table.ids[first].tolist() == [w for _p, w in hits]
     assert np.array_equal(points, np.array([p for p, _w in hits]))
 
@@ -258,17 +258,17 @@ class TestSampleWavefront:
         scene = build_scene(SceneParams(), d_r=0.5, m_side=3)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            spec = sample_wavefront(scene, rng)
-            assert len(spec.doas) == 9
-            for d in spec.doas:
+            spec = sample_wavefront(scene, [rng])
+            assert len(spec.doas[0]) == 9
+            for d in spec.doas[0]:
                 assert float(np.dot(d, scene.rx.boresight)) > 0.0
                 assert np.linalg.norm(d) == pytest.approx(1.0)
 
     def test_determinism(self):
         scene = build_scene(SceneParams(), d_r=0.5, m_side=2)
-        a = sample_wavefront(scene, np.random.default_rng(5))
-        b = sample_wavefront(scene, np.random.default_rng(5))
-        np.testing.assert_array_equal(np.array(a.doas), np.array(b.doas))
+        a = sample_wavefront(scene, [np.random.default_rng(5)])
+        b = sample_wavefront(scene, [np.random.default_rng(5)])
+        np.testing.assert_array_equal(np.array(a.doas[0]), np.array(b.doas[0]))
 
     def test_hits_reused_by_routing(self):
         # the sampler's traced wall points route exactly like a fresh trace
@@ -276,7 +276,7 @@ class TestSampleWavefront:
         graph = build_graph(scene)
         rng = np.random.default_rng(3)
         for _ in range(5):
-            spec = sample_wavefront(scene, rng)
+            spec = sample_wavefront(scene, [rng])
             reused = get_routes(graph, spec)
             traced = get_routes(graph, replace(spec, trace=None))
             assert reused.failures == traced.failures
@@ -296,9 +296,10 @@ class TestSampleWavefront:
         else:
             scene = scene_without(dropped, m_side=4)
         for seed in range(20):
-            spec = sample_wavefront(scene, np.random.default_rng(seed))
+            spec = sample_wavefront(scene, [np.random.default_rng(seed)])
             first, points = spec.trace
-            want_first, want_points = trace_walls(scene.rx.antennas, spec.doas,
+            first, points = first[0], points[0]
+            want_first, want_points = trace_walls(scene.rx.antennas, spec.doas[0],
                                                   scene.wall_table)
             assert first.dtype == want_first.dtype and np.array_equal(first, want_first)
             assert points.tobytes() == want_points.tobytes()
@@ -313,9 +314,9 @@ class TestSampleWavefront:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             ref = np.random.default_rng(seed)
-            spec = sample_wavefront(scene, rng)
+            spec = sample_wavefront(scene, [rng])
             want_doas, want_hits = sample_wavefront_loop(scene, ref)
-            assert np.array_equal(spec.doas, np.array(want_doas))
+            assert np.array_equal(spec.doas[0], np.array(want_doas))
             assert_trace_is(scene, spec, want_hits)
             assert rng.bit_generator.state == ref.bit_generator.state
             # one (16, 3) draw is the whole stream exactly when no draw is rejected
@@ -331,9 +332,9 @@ class TestSampleWavefront:
                   (0.0, 0.0, 0.0), (0.0, -2.0, 0.5), (-1.0, 0.3, -0.4),
                   (0.0, 0.0, 1.0), (0.0, 0.0, 0.0), (0.7, 0.7, -0.1), (1.0, 2.0, 3.0)]
         got, want = StubNormal(stream), StubNormal(stream)
-        spec = sample_wavefront(scene, got)
+        spec = sample_wavefront(scene, [got])
         want_doas, want_hits = sample_wavefront_loop(scene, want)
-        assert np.array_equal(spec.doas, np.array(want_doas))
+        assert np.array_equal(spec.doas[0], np.array(want_doas))
         assert_trace_is(scene, spec, want_hits)
         assert got.served == want.served == len(stream) - 1
 
@@ -351,7 +352,7 @@ class TestSampleWavefront:
         for seed in range(5):
             traced.clear()
             rng = StubNormal(np.random.default_rng(seed).standard_normal((2000, 3)))
-            sample_wavefront(scene, rng)
+            sample_wavefront(scene, [rng])
             assert rng.served > 256 + 50     # many rejections
             assert sum(traced) <= 4 * rng.served
 
@@ -365,12 +366,12 @@ class TestSampleWavefront:
         zero, plane = (0.0, 0.0, 0.0), (0.0, 1.0, 0.0)
         stream = [zero, plane, miss, hit] + [miss, hit] * 3
         got, want = StubNormal(stream), StubNormal(stream)
-        spec = sample_wavefront(scene, got)
+        spec = sample_wavefront(scene, [got])
         want_doas, _ = sample_wavefront_loop(scene, want)
-        assert np.array_equal(spec.doas, np.array(want_doas))
+        assert np.array_equal(spec.doas[0], np.array(want_doas))
         assert got.served == want.served == len(stream)
-        with pytest.raises(SceneError, match="rejected"):
-            sample_wavefront(scene, StubNormal([hit, miss, zero, plane, miss, hit, hit]))
+        with pytest.raises(SceneError, match="rejected 2 directions in a row for one antenna"):
+            sample_wavefront(scene, [StubNormal([hit, miss, zero, plane, miss, hit, hit])])
 
     def test_cosine_of_polar_angle_uniformity(self):
         # uniform on the hemisphere: cos(angle to boresight) ~ U(0, 1),
@@ -379,14 +380,64 @@ class TestSampleWavefront:
         rng = np.random.default_rng(99)
         cos = []
         for _ in range(700):
-            spec = sample_wavefront(scene, rng)
-            cos.extend(float(np.dot(d, scene.rx.boresight)) for d in spec.doas)
+            spec = sample_wavefront(scene, [rng])
+            cos.extend(float(np.dot(d, scene.rx.boresight)) for d in spec.doas[0])
         cos = np.array(cos)   # ~11200 draws
         counts, _ = np.histogram(cos, bins=10, range=(0.0, 1.0))
         expect = len(cos) / 10
         # 5-sigma binomial band per decile
         band = 5 * np.sqrt(expect * 0.9)
         assert np.all(np.abs(counts - expect) < band)
+
+
+class TestSampleBatch:
+    """T wavefronts in one call draw as T calls of the per-antenna rule."""
+
+    @pytest.mark.parametrize("dropped", [(), (4, 6), (0, 1, 4, 6)],
+                             ids=["default", "floor_and_far_wall_gone",
+                                  "divider_side_floor_and_far_wall_gone"])
+    def test_batch_matches_loops(self, dropped):
+        scene = scene_without(dropped, m_side=4)
+        for seed in range(10):
+            rngs = [np.random.default_rng([seed, t]) for t in range(7)]
+            twins = [np.random.default_rng([seed, t]) for t in range(7)]
+            spec = sample_wavefront(scene, rngs)
+            assert spec.doas.shape == (7, 16, 3)
+            for t, (rng, twin) in enumerate(zip(rngs, twins)):
+                want_doas, want_hits = sample_wavefront_loop(scene, twin)
+                assert np.array_equal(spec.doas[t], np.array(want_doas))
+                assert_trace_is(scene, spec, want_hits, t)
+                assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_rejections_at_different_antennas(self):
+        # each wavefront's one escaping draw comes at another antenna, so
+        # one pass traces runs of different widths
+        scene = scene_without((0, 1, 4, 6), m_side=2)
+        miss, hit = (-0.1, -1.0, 0.0), (-0.3, 0.2, 0.1)
+        streams = [[hit] * a + [miss] + [hit] * (4 - a) for a in range(4)]
+        streams += [[hit] * 4, [miss, miss, (0.0, 0.0, 0.0), hit, miss, hit, hit, hit]]
+        got = [StubNormal(s) for s in streams]
+        want = [StubNormal(s) for s in streams]
+        spec = sample_wavefront(scene, got)
+        for t, (g, w) in enumerate(zip(got, want)):
+            want_doas, want_hits = sample_wavefront_loop(scene, w)
+            assert np.array_equal(spec.doas[t], np.array(want_doas))
+            assert_trace_is(scene, spec, want_hits, t)
+            assert g.served == w.served == len(streams[t])
+
+    def test_traced_rays_linear_in_draws(self, monkeypatch):
+        traced = []
+        trace = experiment.trace_walls
+        monkeypatch.setattr(experiment, "trace_walls",
+                            lambda points, dirs, table:
+                            traced.append(len(points)) or trace(points, dirs, table))
+        scene = scene_without((0, 1, 4, 6), m_side=16)
+        rngs = [StubNormal(np.random.default_rng(seed).standard_normal((2000, 3)))
+                for seed in range(5)]
+        sample_wavefront(scene, rngs)
+        served = sum(rng.served for rng in rngs)
+        assert served > 5 * (256 + 50)     # many rejections
+        assert sum(traced) <= 4 * served
 
 
 class TestRunCell:
@@ -423,6 +474,17 @@ class TestRunCell:
         for v in (rep.gamma.k_hat, rep.gamma.theta_hat, rep.rayleigh.sigma_hat,
                   rep.kld_gamma, rep.kld_rayleigh):
             assert np.isfinite(v) and v > 0.0
+
+
+    @pytest.mark.parametrize("batch", [lambda m_side: 1, lambda m_side: 3 * m_side**2 + 1],
+                             ids=["one_trial", "short_last_batch"])
+    def test_trial_batch_size_changes_nothing(self, monkeypatch, batch):
+        cfg = tiny_config(d_r_values=(0.25,), m_sides=(3,), n_trials=10)
+        want = run_cell(cfg, 0.25, 3)
+        monkeypatch.setattr(experiment, "TRIAL_BATCH", batch(3))
+        got = run_cell(cfg, 0.25, 3)
+        assert got.records == want.records
+        assert fit_row(got) == fit_row(want)
 
 
 class TestRunSweep:

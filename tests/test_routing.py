@@ -13,6 +13,7 @@ from pwesim.scene import PweGraph, Scene, bfs_shortest_path, build_graph
 
 from conftest import box_walls, ris_on_wall, rotate_scene, single_antenna_array, tiled_ris
 from oracles import reference_get_routes, scalar_deviation, select_last_ris
+from test_experiment import scene_without
 from test_scene_graph import two_room_scene
 
 
@@ -90,10 +91,10 @@ class TestDeviationAngle:
         streams = np.random.SeedSequence([config.seed, m_idx, d_idx]).spawn(config.n_trials)
         phis = []
         for ss in streams:
-            spec = sample_wavefront(scene, np.random.Generator(np.random.PCG64(ss)))
+            spec = sample_wavefront(scene, [np.random.Generator(np.random.PCG64(ss))])
             for r in get_routes(graph, spec).routes:
                 i = r.antenna_index
-                realized, phi = scalar_deviation(spec.doas[i], scene.rx.antennas[i],
+                realized, phi = scalar_deviation(spec.doas[0][i], scene.rx.antennas[i],
                                                  scene.ris_centers[r.last_ris_id])
                 assert np.array_equal(r.realized_doa, realized)
                 assert type(r.phi_deg) is float and r.phi_deg == phi
@@ -123,7 +124,8 @@ class TestWavefrontSpec:
         spec = WavefrontSpec(doas=((0, 0, 1.0),) * 2, trace=(first, points))
         first[0], points[0, 0] = 0, 5.0
         got_first, got_points = spec.trace
-        assert got_first.tolist() == [3, -1] and got_points[0, 0] == 1.0
+        assert got_first.shape == (1, 2) and got_points.shape == (1, 2, 3)
+        assert got_first.tolist() == [[3, -1]] and got_points[0, 0, 0] == 1.0
         assert not got_first.flags.writeable and not got_points.flags.writeable
         assert WavefrontSpec(doas=spec.doas).trace is None
 
@@ -175,7 +177,7 @@ class TestGetRoutes:
                       rx=single_antenna_array((0.0, 0.0, 1.5), (0, 1.0, 0)))
         graph = build_graph(scene)
         routes = get_routes(graph, WavefrontSpec(doas=((0, 1.0, 0),)))
-        assert routes.failures == ((0, NO_HIT),)
+        assert routes.failures == ((0, 0, NO_HIT),)
         assert not routes.routes
 
     def test_contention_second_choice(self):
@@ -251,7 +253,7 @@ class TestAgainstReference:
             got = get_routes(graph, spec)
             expected = reference_get_routes(scene, spec)
             by_ant = {r.antenna_index: r for r in got.routes}
-            fail_by_ant = dict(got.failures)
+            fail_by_ant = {i: why for _t, i, why in got.failures}
             for i, (rid, path, phi) in enumerate(expected):
                 if isinstance(rid, str):
                     assert fail_by_ant[i] == rid
@@ -342,7 +344,7 @@ class TestPathStep:
                         ris_walls=scene.ris_walls[keep], rx=rx)
         spec = WavefrontSpec(doas=[(1.0, 0, 0)] * 3)
         routes = get_routes(build_graph(scene), spec)
-        assert routes.failures == ((0, NO_HIT), (1, UNREACHABLE), (2, NO_CANDIDATE))
+        assert routes.failures == ((0, 0, NO_HIT), (0, 1, UNREACHABLE), (0, 2, NO_CANDIDATE))
         assert not routes.routes
 
     def test_batch_mixes_every_kind_of_path(self):
@@ -368,8 +370,8 @@ class TestPathStep:
         assert graph.min_hop_paths(ids[::-1]) == got
 
     def test_no_segment_test_after_first_trial(self, monkeypatch):
-        # the first trial reads the visibility matrix and the relay rows;
-        # later trials find every path in the graph's relay array
+        # the first batch of trials reads the visibility matrix and the relay
+        # rows; later batches find every path in the graph's relay array
         calls = []
 
         def counting(*args):
@@ -380,8 +382,10 @@ class TestPathStep:
         scene = build_scene(SceneParams(), 0.15, 8)
         graph = build_graph(scene)
         lengths = set()
-        for k, ss in enumerate(np.random.SeedSequence(0).spawn(4)):
-            spec = sample_wavefront(scene, np.random.default_rng(ss))
+        streams = np.random.SeedSequence(0).spawn(8)
+        for k in range(4):
+            spec = sample_wavefront(scene, [np.random.default_rng(ss)
+                                            for ss in streams[2 * k:2 * k + 2]])
             del calls[:]
             routes = get_routes(graph, spec)
             assert bool(calls) == (k == 0)
@@ -405,6 +409,56 @@ class TestPathStep:
                          for lo in range(0, len(P), 256)])
         assert adj.any()
         np.testing.assert_array_equal(adj, adj.T)
+
+
+def route_rows(routes):
+    """Every field of each route, comparable with ==."""
+    return [(r.trial, r.antenna_index, r.last_ris_id, r.path, r.realized_doa.tobytes(), r.phi_deg)
+            for r in routes.routes]
+
+
+class TestBatchRoutes:
+    """T wavefronts in one `get_routes` call route as T one-wavefront calls,
+    each from a full pool."""
+
+    def assert_batch_is_singles(self, scene, spec):
+        got = get_routes(build_graph(scene), spec)
+        graph = build_graph(scene)
+        rows, failures = [], []
+        for t in range(len(spec.doas)):
+            trace = None if spec.trace is None else tuple(a[t] for a in spec.trace)
+            one = get_routes(graph, WavefrontSpec(doas=spec.doas[t], trace=trace))
+            assert {r.trial for r in one.routes} <= {0}
+            rows += [(t, *row[1:]) for row in route_rows(one)]
+            failures += [(t, i, why) for _t, i, why in one.failures]
+        assert route_rows(got) == rows
+        assert got.failures == tuple(failures)
+        return got
+
+    @pytest.mark.parametrize("rotated", [False, True], ids=["default", "rotated"])
+    def test_sampled_wavefronts(self, rotated):
+        scene = build_scene(SceneParams(), 0.35, 4)
+        if rotated:
+            R, _ = np.linalg.qr(np.random.default_rng(8).normal(size=(3, 3)))
+            scene = rotate_scene(scene, R)
+        spec = sample_wavefront(scene, [np.random.default_rng([5, t]) for t in range(9)])
+        got = self.assert_batch_is_singles(scene, spec)
+        assert len(got.routes) == 9 * 16
+        self.assert_batch_is_singles(scene, replace(spec, trace=None))
+
+    def test_three_rooms(self):
+        scene = three_room_scene(m_side=3)
+        doas = unit(np.random.default_rng(2).normal(size=(9, scene.rx.m, 3)))
+        got = self.assert_batch_is_singles(scene, WavefrontSpec(doas=doas))
+        assert max(len(r.path) for r in got.routes) >= 4
+
+    def test_failures_in_several_trials(self):
+        # rays escape where walls are gone: no_hit failures in many trials
+        scene = scene_without((0, 1, 4, 6), m_side=3)
+        doas = unit(np.random.default_rng(4).normal(size=(9, scene.rx.m, 3)))
+        got = self.assert_batch_is_singles(scene, WavefrontSpec(doas=doas))
+        assert len({t for t, _i, _why in got.failures}) >= 2
+        assert got.routes
 
 
 class TestRotationInvariance:
@@ -474,12 +528,12 @@ class TestCellClaim:
         no_cells = build_graph(replace(scene, ris_grid=None))    # every claim a full scan
         claims = 0
         for ss in np.random.SeedSequence(seed).spawn(trials):
-            spec = sample_wavefront(scene, np.random.default_rng(ss))
+            spec = sample_wavefront(scene, [np.random.default_rng(ss)])
             fast = get_routes(graph, spec)
-            claims += len(spec.doas)
+            claims += len(spec.doas[0])
             before = len(scans)
             assert route_key(fast) == route_key(get_routes(no_cells, spec))
-            assert len(scans) - before == len(spec.doas)
+            assert len(scans) - before == len(spec.doas[0])
             del scans[before:]
         assert len(scans) < claims / 2     # the cell claim served most of them
 
@@ -546,7 +600,7 @@ class TestCellClaim:
             got = get_routes(graph, spec)
             expected = reference_get_routes(scene, spec)
             claims += sum(rid != NO_HIT for rid, _, _ in expected)
-            assert got.failures == tuple((i, rid) for i, (rid, _, _) in enumerate(expected)
+            assert got.failures == tuple((0, i, rid) for i, (rid, _, _) in enumerate(expected)
                                          if isinstance(rid, str))
             for r in got.routes:
                 rid, path, phi = expected[r.antenna_index]
