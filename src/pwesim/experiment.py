@@ -21,7 +21,7 @@ from .statfit import (DegenerateDataError, DeviationDataset, Fit, fit_gamma_mle,
 MAX_REJECTIONS = 10_000
 # antenna-trials per run_cell batch: bounds the (batch, walls) temporaries
 TRIAL_BATCH = 1 << 10
-# config bounds: past them a sweep exhausts memory instead of failing up front
+# config bounds: refuse absurd values up front, but bound no memory (~336 B per routed row)
 MAX_TRIALS = 1_000_000
 MAX_M_SIDE = 64
 MAX_BINS = 10_000
@@ -31,8 +31,8 @@ MAX_RIS_UNITS = 1_000_000
 # holds one bool per pair, so this keeps it under ~100 MB and about a minute
 # of work; M = 64 at d_r = 0.15 on the default walls is ~27 M
 MAX_ANTENNA_RIS_PAIRS = 100_000_000
-# every antenna lies this far inside room 2's walls, meters: far above the
-# geometry's ENDPOINT_EPS and ARRAY_MARGIN, so no antenna sits on a wall plane
+# every antenna lies this far inside room 2's walls and the Tx inside room 1's, meters:
+# far above the geometry's ENDPOINT_EPS and ARRAY_MARGIN, so neither sits on a wall plane
 RX_WALL_CLEARANCE = 1e-6
 
 
@@ -114,7 +114,8 @@ def build_scene(params, d_r, m_side):
     Wall ids put the room-2 boundary first so the first-hit wall scan from
     any point inside room 2 lands on the unique room-2 boundary crossing.
     Raises SceneError, before any wall is tiled, past the unit or pair
-    bound or when an antenna does not lie inside room 2 by RX_WALL_CLEARANCE.
+    bound, when an antenna does not lie inside room 2 or when the
+    transmitter does not lie inside room 1, each by RX_WALL_CLEARANCE.
     """
     length, width, height = params.room_length, params.room_width, params.room_height
     ex, ey, ez = np.eye(3)
@@ -173,6 +174,13 @@ def build_scene(params, d_r, m_side):
                          f"around {tuple(rx_center)} does not lie inside room 2 (x {length}.."
                          f"{2.0 * length}, y 0..{width}, z 0..{height}) by {RX_WALL_CLEARANCE} m")
     rx = AntennaArray(antennas=antennas, boresight=-ex)
+    tx = params.tx_position
+    if tx is None:
+        tx = (0.3, hw, hh)
+    room1_hi = np.array([length, width, height]) - RX_WALL_CLEARANCE
+    if not (np.all(np.asarray(tx) > RX_WALL_CLEARANCE) and np.all(np.asarray(tx) < room1_hi)):
+        raise SceneError(f"the transmitter at {tuple(tx)} does not lie inside room 1 (x 0.."
+                         f"{length}, y 0..{width}, z 0..{height}) by {RX_WALL_CLEARANCE} m")
 
     per_wall = [tile_wall(w, d_r, margin=params.ris_margin, openings=openings)
                 for w in tiled]
@@ -182,9 +190,6 @@ def build_scene(params, d_r, m_side):
     if not len(ris_centers):
         raise SceneError(f"no RIS unit of side {d_r} fits any tiled wall")
 
-    tx = params.tx_position
-    if tx is None:
-        tx = (0.3, hw, hh)
     return Scene(walls=walls, openings=openings, ris_centers=ris_centers,
                  ris_walls=ris_walls, tx=tx, rx=rx, ris_grid=d_r)
 
@@ -197,15 +202,16 @@ def sample_wavefront(scene, rngs):
     The rule reads one stream of normal 3-vectors per wavefront: each
     antenna in turn takes the next vector, normalizes it and flips it onto
     the boresight hemisphere, and takes another while the vector is zero,
-    lies on the boresight plane or its ray misses every wall. The waiting
-    antennas go in passes, each tracing the next candidates of several
-    antennas of every unfinished wavefront in one `trace_walls` call. Each
-    wavefront keeps its leading run of accepted ones; its first rejected
-    candidate is dropped, and those after it move up one antenna, topped up
-    by one fresh draw from its own generator. M draws of 3 take the same
-    stream as one draw of (M, 3), so every candidate is the vector the
-    per-antenna rule reads. The accepted directions' traces come with the
-    spec as `WavefrontSpec.trace`, so `get_routes` traces nothing.
+    lies on the boresight plane or its ray misses every wall. The first
+    pass traces the first candidate of every antenna of every wavefront in
+    one `trace_walls` call. Each wavefront keeps its leading run of accepted
+    ones; its first rejected candidate is dropped, and those after it move
+    up one antenna, topped up by one fresh draw from its own generator. A
+    wavefront that met a rejection then goes one antenna per pass, so each
+    candidate is traced at most twice. M draws of 3 take the same stream as
+    one draw of (M, 3), so every candidate is the vector the per-antenna
+    rule reads. The accepted directions' traces come with the spec as
+    `WavefrontSpec.trace`, so `get_routes` traces nothing.
     """
     antennas, boresight = scene.rx.antennas, scene.rx.boresight
     m = len(antennas)
@@ -215,40 +221,35 @@ def sample_wavefront(scene, rngs):
     first = np.empty(draws.shape[:2], dtype=int)
     done = np.zeros(len(rngs), dtype=int)       # antennas accepted
     misses = np.zeros(len(rngs), dtype=int)     # wall misses of antenna done[t]
-    width = np.full(len(rngs), m)               # candidates to trace in the next pass
-    live = np.arange(len(rngs))
+    live, w = np.arange(len(rngs)), m           # the first pass traces m antennas, later ones 1
     while len(live):
-        w = np.minimum(width[live], m - done[live])
-        starts = np.cumsum(w) - w
-        off = np.arange(w.sum()) - np.repeat(starts, w)     # offset in its wavefront's run
-        tt, aa = np.repeat(live, w), np.repeat(done[live], w) + off
+        tt, aa = np.broadcast_arrays(live[:, None], done[live, None] + np.arange(w))
         c = draws[tt, aa]
         n = norm(c)
         with np.errstate(invalid="ignore"):     # a zero draw becomes NaN, rejected below
-            v = c / n[:, None]
+            v = c / n[..., None]
         d = np.vecdot(v, boresight)
-        v = np.where((d < 0.0)[:, None], -v, v)
-        k, p = trace_walls(antennas[aa], v, scene.wall_table)
-        ok = (n != 0.0) & (d != 0.0) & (k >= 0)
-        # per wavefront: the offset of its first rejection, or its width
-        run = np.minimum.reduceat(np.where(ok, np.repeat(w, w), off), starts)
-        keep = off < np.repeat(run, w)
-        doas[tt[keep], aa[keep]], first[tt[keep], aa[keep]] = v[keep], k[keep]
-        points[tt[keep], aa[keep]] = p[keep]
+        v = np.where((d < 0.0)[..., None], -v, v)
+        k, p = trace_walls(antennas[aa.ravel()], v.reshape(-1, 3), scene.wall_table)
+        k, p = k.reshape(aa.shape), p.reshape(c.shape)
+        drawn = (n != 0.0) & (d != 0.0)
+        # per wavefront: the column of its first rejection, or w
+        run = np.where(drawn & (k >= 0), w, np.arange(w)).min(axis=1)
+        keep = np.arange(w) < run[:, None]
+        tk, ak = tt[keep], aa[keep]
+        doas[tk, ak], first[tk, ak], points[tk, ak] = v[keep], k[keep], p[keep]
         done[live] += run
         misses[live[run > 0]] = 0
-        for t, e in zip(live[run < w].tolist(), (starts + run)[run < w].tolist()):
-            if n[e] != 0.0 and d[e] != 0.0:     # its ray missed every wall
+        rejected = np.flatnonzero(run < w)
+        for t, missed in zip(live[rejected].tolist(), drawn[rejected, run[rejected]].tolist()):
+            if missed:                          # its ray missed every wall
                 misses[t] += 1
                 if misses[t] >= MAX_REJECTIONS:
                     raise SceneError(f"wavefront sampling rejected {MAX_REJECTIONS} directions "
                                      "in a row for one antenna; scene geometry looks malformed")
             draws[t, done[t]:-1] = draws[t, done[t] + 1:]
             draws[t, -1] = rngs[t].standard_normal((1, 3))
-        # candidates traced past a rejection are traced again for their new
-        # antenna; tracing at most twice the last run keeps that work linear
-        width[live] = 2 * run + 1
-        live = live[done[live] < m]
+        live, w = live[done[live] < m], 1
     return WavefrontSpec(doas=doas, trace=(first, points))
 
 

@@ -376,6 +376,22 @@ class TestSweepCommand:
         assert_one_line_error(capsys, f"d_r=0.5, {cell}", "does not lie inside room 2")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "route"])
+    def test_tx_outside_room_1_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        # behind wall 6, outside the building: refused before any wall is tiled
+        def no_tiling(*args, **kwargs):
+            raise AssertionError("tile_wall called for a transmitter outside room 1")
+        monkeypatch.setattr(experiment, "tile_wall", no_tiling)
+        cfg = write_config(tmp_path, "d_r_values = [0.5]\nm_sides = [2]\nn_trials = 1\n"
+                                     "tx_position = [-0.3, 2.5, 1.5]\n")
+        spec = write_config(tmp_path, "[]", "spec.json")
+        out = tmp_path / "out"
+        args = {"sweep": [], "route": ["--spec", str(spec)]}
+        assert main([command, "--config", str(cfg), "--out", str(out), *args[command]]) == 2
+        assert_one_line_error(capsys, "d_r=0.5, M=2", "transmitter at (-0.3, 2.5, 1.5) "
+                                                       "does not lie inside room 1")
+        assert not out.exists()
+
     def test_sampler_rejection_bound_exit_2(self, tmp_path, capsys, monkeypatch):
         # every ray from inside room 2 meets a wall, so the trace is made to
         # miss every wall

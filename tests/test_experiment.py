@@ -1,3 +1,4 @@
+import collections
 import os
 from concurrent.futures import Future
 from dataclasses import replace
@@ -147,6 +148,20 @@ class TestSceneParams:
         with pytest.raises(SceneError, match=f"{m_side} x {m_side} antenna array .* "
                                              "does not lie inside room 2"):
             build_scene(params, d_r=0.5, m_side=m_side)
+
+    @pytest.mark.parametrize("tx", [
+        (-0.3, 2.5, 1.5),           # behind wall 6
+        (7.5, 2.5, 1.5),            # in room 2
+        (5.0, 2.5, 1.5),            # on the divider plane, in the doorway
+        (1e6, 1e6, 1e6),            # outside the building
+        (2.5, 4.9999995, 1.5),      # within the clearance
+    ], ids=["behind_wall_6", "room_2", "divider", "outside", "clearance"])
+    def test_tx_must_lie_inside_room_1(self, monkeypatch, tx):
+        def no_tiling(*args, **kwargs):
+            raise AssertionError("tile_wall called for a transmitter outside room 1")
+        monkeypatch.setattr(experiment, "tile_wall", no_tiling)
+        with pytest.raises(SceneError, match=r"transmitter at \(.*\) does not lie inside room 1"):
+            build_scene(SceneParams(tx_position=tx), d_r=0.5, m_side=2)
 
     @pytest.mark.parametrize("params, m_side", [
         (SceneParams(), 32),
@@ -340,9 +355,10 @@ class TestSampleWavefront:
 
     def test_traced_rays_linear_in_draws(self, monkeypatch):
         # a candidate traced past a rejection is traced again for its new
-        # antenna; passes no longer than twice the last run keep the rays
-        # traced within 4 per draw, where retracing every waiting antenna
-        # after each rejection would trace ~M/2 per rejection
+        # antenna; after its first rejection a wavefront traces one antenna
+        # per pass, which keeps the rays traced within 4 per draw, where
+        # retracing every waiting antenna after each rejection would trace
+        # ~M/2 per rejection
         traced = []
         trace = experiment.trace_walls
         monkeypatch.setattr(experiment, "trace_walls",
@@ -438,6 +454,26 @@ class TestSampleBatch:
         served = sum(rng.served for rng in rngs)
         assert served > 5 * (256 + 50)     # many rejections
         assert sum(traced) <= 4 * served
+
+    @pytest.mark.parametrize("dropped, m_side", [((0, 1, 4, 6), 16), ((4, 6), 4)],
+                             ids=["divider_side_floor_and_far_wall_gone",
+                                  "floor_and_far_wall_gone"])
+    def test_each_candidate_traced_at_most_twice(self, monkeypatch, dropped, m_side):
+        # a candidate is traced in the first pass for its first antenna and,
+        # if a rejection before it moves it up, once more for its last one
+        traced = collections.Counter()
+        trace = experiment.trace_walls
+
+        def count_rows(points, dirs, table):
+            traced.update(row.tobytes() for row in dirs)
+            return trace(points, dirs, table)
+        monkeypatch.setattr(experiment, "trace_walls", count_rows)
+        scene = scene_without(dropped, m_side=m_side)
+        rngs = [StubNormal(np.random.default_rng([seed, m_side]).standard_normal((2000, 3)))
+                for seed in range(5)]
+        sample_wavefront(scene, rngs)
+        assert sum(rng.served for rng in rngs) > 5 * m_side * m_side     # rejections
+        assert sorted(set(traced.values())) == [1, 2]
 
 
 class TestRunCell:
