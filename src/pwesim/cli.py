@@ -42,6 +42,8 @@ _CSV_HEADERS = {
                 "kld_rayleigh,loglik_gamma,loglik_rayleigh",
     "histograms.csv": "d_r,m_side,bin_left,bin_right,count,density",
 }
+# a deviations.csv record after its cell, in _csv_row's bytes: %r is a float's str
+_DEVIATION_ROW = "%d,%d,%r,%d,%d"
 
 
 class ConfigError(Exception):
@@ -166,7 +168,7 @@ def cmd_sweep(args):
         for res in results:
             fit = res.fit
             cell = f"{res.d_r!r},{res.m_side},"
-            lines["deviations.csv"].extend(cell + _csv_row(record) for record in res.records)
+            lines["deviations.csv"].extend(map((cell + _DEVIATION_ROW).__mod__, res.records))
             lines["fits.csv"].append(cell + _csv_row((
                 res.dataset.n, res.n_failures, fit.gamma.k_hat, fit.gamma.theta_hat,
                 fit.rayleigh.sigma_hat, fit.kld_gamma, fit.kld_rayleigh,

@@ -276,10 +276,10 @@ def run_cell(config, d_r, m_side):
             spec = sample_wavefront(scene, rngs)
             routes = get_routes(graph, spec)
             n_failures += len(routes.failures)
-            for route in routes.routes:
-                phis.append(route.phi_deg)
-                records.append((lo + route.trial, route.antenna_index, route.phi_deg,
-                                route.last_ris_id, len(route.path)))
+            phi = routes.phi_deg.tolist()
+            phis += phi
+            records += zip((routes.trials + lo).tolist(), routes.antenna_indices.tolist(), phi,
+                           routes.last_ris_ids.tolist(), map(len, routes.paths))
     except SceneError as exc:
         raise SceneError(f"cell (d_r={d_r}, M={m_side}): {exc}") from exc
     dataset = DeviationDataset(samples=np.array(phis), d_r=d_r, m=m_side * m_side)

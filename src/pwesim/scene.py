@@ -151,23 +151,22 @@ class RisCells:
         self.rows = np.concatenate([self.rows, block.ravel()])
 
     def candidates(self, points, cols):
-        """Per hit point, the RIS rows that are provably its nearest units
-        in turn: each listed row is nearer than every unit listed after it
-        and every unit not listed, so the first free visible one is the
-        lastRIS claim.
-
-        points, cols: `trace_walls`' (M, 3) hit points and (M,) `WallTable`
-        columns of the hit walls, NaN and -1 for none. The candidates are
-        the units of the 3 x 3 cells around the point's cell on its wall,
-        by distance. Any other unit of that wall lies 1.5 d_r or more away,
-        as each unit sits at its own cell's center; a unit of another wall
-        lies inside that wall's rectangle, padded by `limits`. The list
-        stops at the first candidate whose distance does not beat the next
-        one's and both bounds by a margin of 1e-9 (1 + |p|^2), which no
-        rounding of the distances reaches, so ties and near-ties end it.
+        """(block, count) for `trace_walls`' (N, 3) hit points and (N,)
+        `WallTable` columns of the hit walls (NaN and -1 for none) of the
+        N = T x M rays of a batch: each (N, 9) block row ranks the units of
+        the 3 x 3 cells around its point's cell on its wall by distance, -1
+        for a cell without one, and its first count[n] units are each nearer
+        than every unit after them and every unit outside the block, so the
+        first free visible one of them is the lastRIS claim (count 0 on a
+        miss). Any other unit of that wall lies 1.5 d_r or more away, as
+        each unit sits at its own cell's center; a unit of another wall lies
+        inside that wall's rectangle, padded by `limits`. The count stops at
+        the first unit whose distance does not beat the next one's and both
+        bounds by a margin of 1e-9 (1 + |p|^2), which no rounding of the
+        distances reaches, so ties and near-ties end it.
         """
         w = len(self.n_u)
-        local = (points @ self.axes).reshape(len(points), w, 3) - self.origin    # (M, W, 3)
+        local = (points @ self.axes).reshape(len(points), w, 3) - self.origin    # (N, W, 3)
         gap = (np.maximum(np.abs(local) - self.limits, 0.0) ** 2).sum(axis=2)
         gap[:, self.n_u == 0] = np.inf                # walls without units
         at = np.arange(len(points))
@@ -182,15 +181,13 @@ class RisCells:
         block = np.where(inside, self.rows[np.where(inside, start + iv * n_u + iu, 0).astype(int)],
                          -1)
         diff = self.centers[block] - points[:, None, :]
-        d2 = np.where(block >= 0, np.vecdot(diff, diff), np.inf)       # (M, 9)
+        d2 = np.where(block >= 0, np.vecdot(diff, diff), np.inf)       # (N, 9)
         order = np.argsort(d2, axis=1, kind="stable")
         block = np.take_along_axis(block, order, axis=1)
         d2 = np.take_along_axis(d2, order, axis=1)
         beaten = np.minimum(np.concatenate([d2[:, 1:], bound], axis=1), bound)
         guard = 1e-9 * (1.0 + np.vecdot(points, points))[:, None]
-        sure = np.logical_and.accumulate(d2 + guard < beaten, axis=1).sum(axis=1)
-        return [row[:n] for row, n in zip(block.tolist(), sure.tolist())]
-
+        return block, np.logical_and.accumulate(d2 + guard < beaten, axis=1).sum(axis=1)
 
 
 class PweGraph:

@@ -6,6 +6,8 @@
 - `SimpleGraph`: an explicit adjacency-set graph, input to `bfs_shortest_path`.
 - `select_last_ris`: the lastRIS claim for an explicit candidate list, by
   the same `nearest_ris` rule that `get_routes` applies.
+- `claim_loop`: the lastRIS claims of T wavefronts one antenna at a time,
+  the sequential form of `claim_rounds`.
 - `tile_wall_loop` and `antenna_grid_loop`: one unit or antenna per loop
   step, the scalar forms of `tile_wall` and `build_scene`'s antenna grid.
 - `ray_wall_scale` and `_ref_hit_point`: the scalar ray/plane scale and the
@@ -32,6 +34,7 @@ from collections import deque
 
 import numpy as np
 
+from pwesim import routing
 from pwesim.experiment import MAX_REJECTIONS
 from pwesim.geometry import ENDPOINT_EPS, EXTENT_SLACK, PARALLEL_EPS, trace_walls, unit
 from pwesim.routing import NO_CANDIDATE, NO_HIT, deviation_angle, nearest_ris
@@ -130,6 +133,35 @@ def select_last_ris(point, candidates, antenna_index, graph):
     available[list(candidates)] = True
     available &= graph.visibility[antenna_index]
     return nearest_ris(point, graph.scene.ris_centers, available)
+
+
+def claim_loop(graph, first, points):
+    """(T, M) lastRIS claims, -1 for none, of `trace_walls`' (T, M) columns
+    and (T, M, 3) wall points, one antenna at a time: each wavefront from a
+    full pool, each antenna that hits a wall taking the first free visible
+    unit of its `RisCells.candidates` ranking, else the full scan
+    `routing.nearest_ris` (looked up at call time, so a spy sees it)."""
+    n_t, m = first.shape
+    first, points = first.ravel(), points.reshape(-1, 3)
+    cells = graph.scene.ris_cells
+    near = [()] * len(first)
+    if cells is not None:
+        block, count = cells.candidates(points, first)
+        near = [row[:n] for row, n in zip(block.tolist(), count.tolist())]
+    claims = np.full(len(first), -1)
+    for e, k in enumerate(first.tolist()):
+        if e % m == 0:      # each wavefront claims from a full pool
+            free = np.ones(graph.n_ris, dtype=bool)
+        if k < 0:
+            continue
+        visible = graph.visibility[e % m]
+        j = next((j for j in near[e] if free[j] and visible[j]), None)
+        if j is None:
+            j = routing.nearest_ris(points[e], graph.scene.ris_centers, free & visible)
+        if j is not None:
+            free[j] = False
+            claims[e] = j
+    return claims.reshape(n_t, m)
 
 
 def tile_wall_loop(wall, d_r, margin=0.0, openings=()):

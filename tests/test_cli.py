@@ -18,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pwesim import experiment
-from pwesim.cli import (ConfigError, config_from_raw, main, parse_config_text)
-from pwesim.experiment import ExperimentConfig, build_scene, fit_models
+from pwesim.cli import (_DEVIATION_ROW, ConfigError, _csv_row, config_from_raw, main,
+                        parse_config_text)
+from pwesim.experiment import (MAX_M_SIDE, MAX_RIS_UNITS, MAX_TRIALS, ExperimentConfig,
+                               build_scene, fit_models)
 from pwesim.geometry import unit
 from pwesim.routing import WavefrontSpec, get_routes
 from pwesim.scene import build_graph
@@ -530,6 +532,20 @@ class TestSweepCommand:
         assert (out1 / "deviations.csv").read_bytes() != \
                (out2 / "deviations.csv").read_bytes()
         assert json.loads((out1 / "manifest.json").read_text())["seed"] == 77
+
+
+class TestDeviationRow:
+    @settings(max_examples=300, deadline=None)
+    @given(d_r=st.floats(1e-3, 10.0), m_side=st.integers(1, MAX_M_SIDE),
+           trial=st.integers(0, MAX_TRIALS - 1), antenna=st.integers(0, MAX_M_SIDE ** 2 - 1),
+           phi=st.sampled_from([0.0, 2.0, 1e-05, 5e-324, 1e16])
+           | st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+           ris=st.integers(0, MAX_RIS_UNITS - 1), path_len=st.integers(2, 100))
+    def test_format_is_csv_row(self, d_r, m_side, trial, antenna, phi, ris, path_len):
+        # sweep writes each deviations.csv line with one %-format
+        cell = f"{d_r!r},{m_side},"
+        record = (trial, antenna, phi, ris, path_len)
+        assert (cell + _DEVIATION_ROW) % record == cell + _csv_row(record)
 
 
 class TestRouteCommand:

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from pwesim import routing
-from pwesim.experiment import (ExperimentConfig, SceneParams, build_scene, run_cell,
-                               sample_wavefront)
-from pwesim.geometry import AntennaArray, Aperture, WallPlane, segments_clear_batch, unit
-from pwesim.routing import (NO_CANDIDATE, NO_HIT, UNREACHABLE, WavefrontSpec, deviation_angle,
-                            get_routes)
+from pwesim.experiment import (TRIAL_BATCH, ExperimentConfig, SceneParams, build_scene,
+                               run_cell, sample_wavefront)
+from pwesim.geometry import (AntennaArray, Aperture, WallPlane, segments_clear_batch,
+                             trace_walls, unit)
+from pwesim.routing import (NO_CANDIDATE, NO_HIT, UNREACHABLE, WavefrontSpec, claim_rounds,
+                            deviation_angle, get_routes)
 from pwesim.scene import PweGraph, Scene, bfs_shortest_path, build_graph
 
 from conftest import box_walls, ris_on_wall, rotate_scene, single_antenna_array, tiled_ris
-from oracles import reference_get_routes, scalar_deviation, select_last_ris
+from oracles import claim_loop, reference_get_routes, scalar_deviation, select_last_ris
 from test_experiment import scene_without
 from test_scene_graph import two_room_scene
 
@@ -570,18 +571,21 @@ class TestCellClaim:
         point = np.array([[2.0, 2.5, 3.0]])
         centers = scene.ris_centers
         assert np.linalg.norm(centers[9] - point) == np.linalg.norm(centers[10] - point)
-        assert scene.ris_cells.candidates(point, np.array([1])) == [[]]
+        block, count = scene.ris_cells.candidates(point, np.array([1]))
+        assert block.shape == (1, 9) and count.tolist() == [0]
         routes = get_routes(build_graph(scene), WavefrontSpec(doas=[(0.0, 0.0, 1.0)]))
         assert [r.last_ris_id for r in routes.routes] == [9]
         assert len(scans) == 1
         # a hair inside cell 10, it comes first, then cell 9
-        assert scene.ris_cells.candidates(point + (1e-3, 0.0, 0.0), np.array([1])) == [[10, 9]]
+        block, count = scene.ris_cells.candidates(point + (1e-3, 0.0, 0.0), np.array([1]))
+        assert block[0, :count[0]].tolist() == [10, 9]
 
     def test_every_center_is_its_own_first_candidate(self):
         scene = build_scene(SceneParams(), 0.25, 2)
         cols = np.searchsorted(scene.wall_table.ids, scene.ris_walls)
-        got = scene.ris_cells.candidates(scene.ris_centers, cols)
-        assert [c[0] for c in got] == list(range(len(scene.ris_centers)))
+        block, count = scene.ris_cells.candidates(scene.ris_centers, cols)
+        assert (count >= 1).all()
+        assert block[:, 0].tolist() == list(range(len(scene.ris_centers)))
 
     def test_off_lattice_units_route_as_reference(self, rng, scans):
         # units at random wall points: no grid, so every claim is a full scan
@@ -615,3 +619,110 @@ def test_full_scan_is_rare_on_a_default_cell(scans):
     claims = len(result.records) + result.n_failures
     assert claims == 160
     assert len(scans) <= 0.15 * claims
+
+
+@pytest.fixture
+def ranked_picks(monkeypatch):
+    """The row count of each `_ranked_pick` call `claim_rounds` makes: its
+    first call picks for every antenna-trial, the later ones pick again."""
+    rows = []
+
+    def counting(ranked, usable):
+        rows.append(len(ranked))
+        return pick(ranked, usable)
+
+    pick = routing._ranked_pick
+    monkeypatch.setattr(routing, "_ranked_pick", counting)
+    return rows
+
+
+def sealed_floor_scene(m_side, ris_grid=None):
+    """`scene_without` the room-2 walls but the floor and the divider, the
+    doorway closed and the divider's units removed: a ray that misses the
+    floor and the divider escapes, the array sees only the 100 floor units,
+    and none of them has a path from Tx."""
+    scene = scene_without((1, 2, 3, 5), m_side)
+    keep = scene.ris_walls != 0
+    return replace(scene, openings=[], ris_centers=scene.ris_centers[keep],
+                   ris_walls=scene.ris_walls[keep], ris_grid=ris_grid)
+
+
+class TestClaimRounds:
+    """`claim_rounds` claims for every antenna-trial of a batch what
+    `claim_loop` claims one antenna at a time, with the same full scans, and
+    `get_routes` reports each claim's route or the reason it has none."""
+
+    def assert_rounds_are_loop(self, scene, spec, scans, ranked_picks, work_bound=True):
+        graph = build_graph(scene)
+        shape = spec.doas.shape[:2]
+        first, points = spec.trace or trace_walls(np.tile(scene.rx.antennas, (shape[0], 1)),
+                                                  spec.doas.reshape(-1, 3), scene.wall_table)
+        first, points = np.reshape(first, shape), np.reshape(points, (*shape, 3))
+        want = claim_loop(graph, first, points)
+        loop_scans = len(scans)
+        del scans[:]
+        got = claim_rounds(graph, first, points)
+        np.testing.assert_array_equal(got, want)
+        assert len(scans) == loop_scans
+        # the first call picks for all T x M rows, then one call a round;
+        # with the contention of a sampled batch, picks made again number
+        # at most the claims
+        picks = list(ranked_picks)
+        assert picks[0] == want.size
+        if work_bound:
+            assert sum(picks[1:]) <= np.count_nonzero(want >= 0)
+        routes, failures = [], []
+        for (t, i), j in np.ndenumerate(want):
+            if j < 0:
+                failures.append((t, i, NO_HIT if first[t, i] < 0 else NO_CANDIDATE))
+            elif (path := graph.min_hop_paths([j])[0]) is None:
+                failures.append((t, i, UNREACHABLE))
+            else:
+                routes.append((t, i, j, path))
+        got = get_routes(build_graph(scene), spec)
+        assert [(r.trial, r.antenna_index, r.last_ris_id, r.path) for r in got.routes] == routes
+        assert got.failures == tuple(failures)
+        return loop_scans, len(picks) - 1, got
+
+    @pytest.mark.parametrize("d_r, m_side", [(0.15, 4), (0.2, 8), (0.55, 10)])
+    def test_default_cells(self, d_r, m_side, scans, ranked_picks):
+        # one run_cell batch of wavefronts
+        scene = build_scene(SceneParams(), d_r, m_side)
+        streams = np.random.SeedSequence(7).spawn(TRIAL_BATCH // (m_side * m_side))
+        spec = sample_wavefront(scene, [np.random.default_rng(ss) for ss in streams])
+        _, rounds, _ = self.assert_rounds_are_loop(scene, spec, scans, ranked_picks)
+        # a round commits several antennas of a wavefront
+        assert rounds < m_side * m_side
+
+    def test_rotated_scene(self, rng, scans, ranked_picks):
+        R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        scene = rotate_scene(build_scene(SceneParams(), 0.45, 4), R)
+        spec = sample_wavefront(scene, [np.random.default_rng([3, t]) for t in range(20)])
+        self.assert_rounds_are_loop(scene, spec, scans, ranked_picks)
+
+    def test_three_rooms(self, scans, ranked_picks):
+        scene = three_room_scene(m_side=3)
+        doas = unit(np.random.default_rng(2).normal(size=(9, scene.rx.m, 3)))
+        *_, got = self.assert_rounds_are_loop(scene, WavefrontSpec(doas=doas), scans,
+                                              ranked_picks)
+        assert max(len(r.path) for r in got.routes) >= 4
+
+    def test_every_claim_a_full_scan(self, scans, ranked_picks):
+        scene = replace(build_scene(SceneParams(), 0.35, 4), ris_grid=None)
+        spec = sample_wavefront(scene, [np.random.default_rng([9, t]) for t in range(20)])
+        n_scans, *_ = self.assert_rounds_are_loop(scene, spec, scans, ranked_picks)
+        assert n_scans == 20 * 16
+
+    @pytest.mark.parametrize("ris_grid", [None, 0.5], ids=["scans", "cells"])
+    def test_failures_of_every_kind_in_several_trials(self, ris_grid, scans, ranked_picks):
+        # more antennas a trial hit the floor than it has units (100): every
+        # unit of a pool is contended until the pool runs out, so a commit
+        # can send many picks back, and the work bound of sampled batches
+        # is not asked here
+        scene = sealed_floor_scene(18, ris_grid)
+        doas = unit(np.random.default_rng(4).normal(size=(6, scene.rx.m, 3)))
+        *_, got = self.assert_rounds_are_loop(scene, WavefrontSpec(doas=doas), scans,
+                                              ranked_picks, work_bound=False)
+        trials = {why: {t for t, _i, w in got.failures if w == why}
+                  for why in (NO_HIT, NO_CANDIDATE, UNREACHABLE)}
+        assert all(len(t) >= 2 for t in trials.values())
