@@ -6,6 +6,7 @@ The room dimensions, doorway size and array placement are simulator defaults
 the qualitative trends do not. All of them are overridable via SceneParams.
 """
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -148,7 +149,7 @@ def build_scene(params, d_r, m_side):
                              v_half=params.door_height / 2.0)]
 
     tiled = walls[:9]    # room-2 boundary, room-1 walls
-    n_grid = sum(np.prod(grid_shape(w, d_r, params.ris_margin)) for w in tiled)
+    n_grid = sum(math.prod(grid_shape(w, d_r, params.ris_margin)) for w in tiled)
     if n_grid > MAX_RIS_UNITS:
         raise SceneError(f"RIS units of side {d_r} would number more than {MAX_RIS_UNITS}")
     if m_side * m_side * n_grid > MAX_ANTENNA_RIS_PAIRS:

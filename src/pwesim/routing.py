@@ -8,19 +8,20 @@ which puts both vectors in the same convention and makes the collinear case
 give exactly zero deviation.
 
 A spec holds T wavefronts, each copied from a fresh pool of units antenna
-by antenna, as a claimed RIS leaves the pool; `claim_rounds` makes exactly
-those claims for all T wavefronts at once, in rounds. No claim depends on a
-path (an unreachable unit stays claimed), so the paths come after the
-claims, in one `PweGraph.min_hop_paths` call (a lookup in the graph's relay
-array); the realized DoAs and angles of all routed antenna-trials are
-computed at once, as `RouteSet` columns.
+by antenna, as a claimed RIS leaves the pool. Only antennas of one
+wavefront depend on each other, so `claim_last_ris` takes antenna i's claim
+of all T wavefronts at once, for i = 0 .. M-1. No claim depends on a path
+(an unreachable unit stays claimed), so the paths come after the claims, in
+one `PweGraph.min_hop_paths` call (a lookup in the graph's relay array); the
+realized DoAs and angles of all routed antenna-trials are computed at once,
+as `RouteSet` columns.
 
 A claim is the nearest free unit the antenna sees, by the full scan
 `nearest_ris`, unless a cheaper test proves the answer first: one broadcast
 per spec (`RisCells.candidates`) ranks the units of the 3 x 3 grid cells
 around each of the T x M hit points, as far as bounds on every other unit
 prove that ranking, and an antenna takes the first free visible unit of its
-ranking. Only an antenna whose ranking runs out scans every unit, at its turn.
+ranking. Only an antenna whose ranking runs out scans every unit.
 """
 
 from dataclasses import dataclass
@@ -32,7 +33,6 @@ from .geometry import is_unit, trace_walls, unit
 NO_HIT = "no_hit"              # desired ray exits the wall model
 NO_CANDIDATE = "no_candidate"  # no remaining RIS has LoS to the antenna
 UNREACHABLE = "unreachable"    # no path from Tx to the chosen RIS
-SCAN, NONE = -1, -2    # claim_rounds picks: full scan due; no claim
 
 
 @dataclass(frozen=True)
@@ -114,57 +114,37 @@ def nearest_ris(point, centers, available):
     return j if available[j] else None
 
 
-def _ranked_pick(ranked, usable):
-    """Per row, the first ranked RIS row that is usable, else SCAN."""
-    return np.where(usable.any(axis=1), ranked[np.arange(len(ranked)), usable.argmax(axis=1)],
-                    SCAN)
-
-
-def claim_rounds(graph, first, points):
+def claim_last_ris(graph, first, points):
     """(T, M) lastRIS claims of T wavefronts, -1 for none, from `trace_walls`'
     (T, M) first-wall columns and (T, M, 3) wall points.
 
-    Each waiting antenna holds a pick: its first free visible ranked unit,
-    SCAN if none (the full scan `nearest_ris`, made once it is its
-    wavefront's first waiting antenna), NONE after a miss. A round commits,
-    per wavefront, the waiting antennas before the first whose pick is SCAN
-    or repeats an earlier one. As the pool only shrinks, each gets its
-    antenna-by-antenna claim, and only picks whose unit was taken change.
+    Antenna by antenna, each wavefront's antenna i takes from its own pool
+    the first free visible unit of its proven ranking, else, if its ray hit
+    a wall, the full scan `nearest_ris`; its claim then leaves that pool.
     """
     n_t, m = first.shape
-    first, points = first.ravel(), points.reshape(-1, 3)
-    trial, antenna = np.divmod(np.arange(n_t * m), m)
     visible = graph.visibility
     cells = graph.scene.ris_cells
     ranked, count = ((np.full((n_t * m, 1), -1), np.zeros(n_t * m, dtype=int)) if cells is None
-                     else cells.candidates(points, first))
-    # ranked[e, k] may be row e's claim: proven, and seen by its antenna
-    seen = (np.arange(ranked.shape[1]) < count[:, None]) & visible[antenna[:, None], ranked]
+                     else cells.candidates(points.reshape(-1, 3), first.ravel()))
+    ranked = ranked.reshape(n_t, m, -1)
+    # ranked[t, i, k] may be antenna i's claim: proven, and seen by antenna i
+    seen = ((np.arange(ranked.shape[2]) < count.reshape(n_t, m, 1))
+            & visible[np.arange(m)[:, None], ranked])
     free = np.ones((n_t, graph.n_ris), dtype=bool)      # one pool per wavefront
-    pick = np.where(first < 0, NONE, _ranked_pick(ranked, seen & free[trial[:, None], ranked]))
-    head = np.zeros(n_t, dtype=int)                     # first waiting antenna
-    at = np.arange(m)
-    while (live := np.flatnonzero(head < m)).size:
-        heads = live * m + head[live]
-        for e in heads[pick[heads] == SCAN].tolist():
-            j = nearest_ris(points[e], graph.scene.ris_centers, free[e // m] & visible[e % m])
-            pick[e] = NONE if j is None else j
-        waiting = (at >= head[:, None]).ravel()
-        w = np.flatnonzero(waiting & (pick >= 0))
-        key = trial[w] * graph.n_ris + pick[w]
-        order = np.argsort(key, kind="stable")     # a wavefront's first pick of a unit first
-        stop = waiting & (pick == SCAN)
-        stop[w[order[1:][key[order[1:]] == key[order[:-1]]]]] = True
-        stop = stop.reshape(n_t, m)
-        head = np.where(stop.any(axis=1), stop.argmax(axis=1), m)
-        still = (at >= head[:, None]).ravel()        # waiting after this round
-        took = np.flatnonzero(waiting & ~still & (pick >= 0))
-        free[trial[took], pick[took]] = False
-        stale = np.flatnonzero(still & (pick >= 0))
-        stale = stale[~free[trial[stale], pick[stale]]]
-        pick[stale] = _ranked_pick(ranked[stale],
-                                   seen[stale] & free[trial[stale, None], ranked[stale]])
-    return np.maximum(pick, -1).reshape(n_t, m)
+    trials = np.arange(n_t)
+    claims = np.full((n_t, m), -1)
+    for i in range(m):
+        usable = seen[:, i] & free[trials[:, None], ranked[:, i]]
+        ok = usable.any(axis=1)
+        pick = np.where(ok, ranked[trials, i, usable.argmax(axis=1)], -1)
+        for t in np.flatnonzero(~ok & (first[:, i] >= 0)).tolist():
+            j = nearest_ris(points[t, i], graph.scene.ris_centers, free[t] & visible[i])
+            pick[t] = -1 if j is None else j
+        took = pick >= 0
+        free[trials[took], pick[took]] = False
+        claims[:, i] = pick
+    return claims
 
 
 def get_routes(graph, spec):
@@ -174,9 +154,9 @@ def get_routes(graph, spec):
     Each wavefront starts from a full pool. In index order, each of its
     antennas traces its desired ray to a wall point and claims the nearest
     LoS RIS (removed from that wavefront's pool, even when no path reaches
-    it). The wall points are `spec.trace`, or one `trace_walls` pass over
-    all T x M rays when the spec carries none. The claims of all T
-    wavefronts come from `claim_rounds`, smallest id first on ties.
+    it), smallest id first on ties. The wall points are `spec.trace`, or one
+    `trace_walls` pass over all T x M rays when the spec carries none;
+    `claim_last_ris` claims for the T wavefronts side by side.
     Then each claimed unit gets a minimum-hop Tx -> ... -> lastRIS path whose
     hops are RIS units only, all from one `graph.min_hop_paths` call, whose
     relay array is filled from the graph's cached rows, so calls that share
@@ -191,7 +171,7 @@ def get_routes(graph, spec):
         raise ValueError("spec length must match antenna count")
     doas = spec.doas.reshape(-1, 3)     # row t * m + i: antenna i of wavefront t
     first, points = spec.trace or trace_walls(np.tile(antennas, (n_t, 1)), doas, scene.wall_table)
-    claims = claim_rounds(graph, first.reshape(n_t, m), points.reshape(n_t, m, 3)).ravel()
+    claims = claim_last_ris(graph, first.reshape(n_t, m), points.reshape(n_t, m, 3)).ravel()
     claimed = np.flatnonzero(claims >= 0)
     paths = graph.min_hop_paths(claims[claimed].tolist())
     reached = np.array([path is not None for path in paths], dtype=bool)

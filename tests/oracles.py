@@ -6,8 +6,8 @@
 - `SimpleGraph`: an explicit adjacency-set graph, input to `bfs_shortest_path`.
 - `select_last_ris`: the lastRIS claim for an explicit candidate list, by
   the same `nearest_ris` rule that `get_routes` applies.
-- `claim_loop`: the lastRIS claims of T wavefronts one antenna at a time,
-  the sequential form of `claim_rounds`.
+- `claim_loop`: the lastRIS claims of T wavefronts one wavefront and one
+  antenna at a time, the scalar form of `claim_last_ris`.
 - `tile_wall_loop` and `antenna_grid_loop`: one unit or antenna per loop
   step, the scalar forms of `tile_wall` and `build_scene`'s antenna grid.
 - `ray_wall_scale` and `_ref_hit_point`: the scalar ray/plane scale and the

@@ -109,7 +109,7 @@ class TestSceneParams:
         with pytest.raises(SceneError, match="more than 1000"):
             build_scene(SceneParams(), d_r=0.15, m_side=2)
 
-    @pytest.mark.parametrize("d_r", [0.001, 1e-320])
+    @pytest.mark.parametrize("d_r", [0.001, 1e-300, 1e-320])
     def test_tiny_unit_faults_before_tiling(self, d_r):
         with pytest.raises(SceneError, match="RIS units of side"):
             build_scene(SceneParams(), d_r=d_r, m_side=2)

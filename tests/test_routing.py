@@ -8,8 +8,8 @@ from pwesim.experiment import (TRIAL_BATCH, ExperimentConfig, SceneParams, build
                                run_cell, sample_wavefront)
 from pwesim.geometry import (AntennaArray, Aperture, WallPlane, segments_clear_batch,
                              trace_walls, unit)
-from pwesim.routing import (NO_CANDIDATE, NO_HIT, UNREACHABLE, WavefrontSpec, claim_rounds,
-                            deviation_angle, get_routes)
+from pwesim.routing import (NO_CANDIDATE, NO_HIT, UNREACHABLE, WavefrontSpec,
+                            claim_last_ris, deviation_angle, get_routes)
 from pwesim.scene import PweGraph, Scene, bfs_shortest_path, build_graph
 
 from conftest import box_walls, ris_on_wall, rotate_scene, single_antenna_array, tiled_ris
@@ -621,21 +621,6 @@ def test_full_scan_is_rare_on_a_default_cell(scans):
     assert len(scans) <= 0.15 * claims
 
 
-@pytest.fixture
-def ranked_picks(monkeypatch):
-    """The row count of each `_ranked_pick` call `claim_rounds` makes: its
-    first call picks for every antenna-trial, the later ones pick again."""
-    rows = []
-
-    def counting(ranked, usable):
-        rows.append(len(ranked))
-        return pick(ranked, usable)
-
-    pick = routing._ranked_pick
-    monkeypatch.setattr(routing, "_ranked_pick", counting)
-    return rows
-
-
 def sealed_floor_scene(m_side, ris_grid=None):
     """`scene_without` the room-2 walls but the floor and the divider, the
     doorway closed and the divider's units removed: a ray that misses the
@@ -648,11 +633,11 @@ def sealed_floor_scene(m_side, ris_grid=None):
 
 
 class TestClaimRounds:
-    """`claim_rounds` claims for every antenna-trial of a batch what
-    `claim_loop` claims one antenna at a time, with the same full scans, and
-    `get_routes` reports each claim's route or the reason it has none."""
+    """`claim_last_ris` claims for every antenna-trial of a batch what
+    `claim_loop` claims one wavefront at a time, with the same full scans,
+    and `get_routes` reports each claim's route or the reason it has none."""
 
-    def assert_rounds_are_loop(self, scene, spec, scans, ranked_picks, work_bound=True):
+    def assert_claims_are_loop(self, scene, spec, scans):
         graph = build_graph(scene)
         shape = spec.doas.shape[:2]
         first, points = spec.trace or trace_walls(np.tile(scene.rx.antennas, (shape[0], 1)),
@@ -661,16 +646,9 @@ class TestClaimRounds:
         want = claim_loop(graph, first, points)
         loop_scans = len(scans)
         del scans[:]
-        got = claim_rounds(graph, first, points)
+        got = claim_last_ris(graph, first, points)
         np.testing.assert_array_equal(got, want)
         assert len(scans) == loop_scans
-        # the first call picks for all T x M rows, then one call a round;
-        # with the contention of a sampled batch, picks made again number
-        # at most the claims
-        picks = list(ranked_picks)
-        assert picks[0] == want.size
-        if work_bound:
-            assert sum(picks[1:]) <= np.count_nonzero(want >= 0)
         routes, failures = [], []
         for (t, i), j in np.ndenumerate(want):
             if j < 0:
@@ -682,47 +660,41 @@ class TestClaimRounds:
         got = get_routes(build_graph(scene), spec)
         assert [(r.trial, r.antenna_index, r.last_ris_id, r.path) for r in got.routes] == routes
         assert got.failures == tuple(failures)
-        return loop_scans, len(picks) - 1, got
+        return loop_scans, got
 
     @pytest.mark.parametrize("d_r, m_side", [(0.15, 4), (0.2, 8), (0.55, 10)])
-    def test_default_cells(self, d_r, m_side, scans, ranked_picks):
+    def test_default_cells(self, d_r, m_side, scans):
         # one run_cell batch of wavefronts
         scene = build_scene(SceneParams(), d_r, m_side)
         streams = np.random.SeedSequence(7).spawn(TRIAL_BATCH // (m_side * m_side))
         spec = sample_wavefront(scene, [np.random.default_rng(ss) for ss in streams])
-        _, rounds, _ = self.assert_rounds_are_loop(scene, spec, scans, ranked_picks)
-        # a round commits several antennas of a wavefront
-        assert rounds < m_side * m_side
+        self.assert_claims_are_loop(scene, spec, scans)
 
-    def test_rotated_scene(self, rng, scans, ranked_picks):
+    def test_rotated_scene(self, rng, scans):
         R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         scene = rotate_scene(build_scene(SceneParams(), 0.45, 4), R)
         spec = sample_wavefront(scene, [np.random.default_rng([3, t]) for t in range(20)])
-        self.assert_rounds_are_loop(scene, spec, scans, ranked_picks)
+        self.assert_claims_are_loop(scene, spec, scans)
 
-    def test_three_rooms(self, scans, ranked_picks):
+    def test_three_rooms(self, scans):
         scene = three_room_scene(m_side=3)
         doas = unit(np.random.default_rng(2).normal(size=(9, scene.rx.m, 3)))
-        *_, got = self.assert_rounds_are_loop(scene, WavefrontSpec(doas=doas), scans,
-                                              ranked_picks)
+        _, got = self.assert_claims_are_loop(scene, WavefrontSpec(doas=doas), scans)
         assert max(len(r.path) for r in got.routes) >= 4
 
-    def test_every_claim_a_full_scan(self, scans, ranked_picks):
+    def test_every_claim_a_full_scan(self, scans):
         scene = replace(build_scene(SceneParams(), 0.35, 4), ris_grid=None)
         spec = sample_wavefront(scene, [np.random.default_rng([9, t]) for t in range(20)])
-        n_scans, *_ = self.assert_rounds_are_loop(scene, spec, scans, ranked_picks)
+        n_scans, _ = self.assert_claims_are_loop(scene, spec, scans)
         assert n_scans == 20 * 16
 
     @pytest.mark.parametrize("ris_grid", [None, 0.5], ids=["scans", "cells"])
-    def test_failures_of_every_kind_in_several_trials(self, ris_grid, scans, ranked_picks):
+    def test_failures_of_every_kind_in_several_trials(self, ris_grid, scans):
         # more antennas a trial hit the floor than it has units (100): every
-        # unit of a pool is contended until the pool runs out, so a commit
-        # can send many picks back, and the work bound of sampled batches
-        # is not asked here
+        # unit of a pool is claimed until the pool runs out
         scene = sealed_floor_scene(18, ris_grid)
         doas = unit(np.random.default_rng(4).normal(size=(6, scene.rx.m, 3)))
-        *_, got = self.assert_rounds_are_loop(scene, WavefrontSpec(doas=doas), scans,
-                                              ranked_picks, work_bound=False)
+        _, got = self.assert_claims_are_loop(scene, WavefrontSpec(doas=doas), scans)
         trials = {why: {t for t, _i, w in got.failures if w == why}
                   for why in (NO_HIT, NO_CANDIDATE, UNREACHABLE)}
         assert all(len(t) >= 2 for t in trials.values())
